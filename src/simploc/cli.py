@@ -89,10 +89,7 @@ def preset_verdict(
     if preset == "cyclotomic_Fp":
         fiber = fiber_override if fiber_override is not None else ZERO_FIBER
         return verify_comparison(fiber, cls)
-    if preset == "goodwillie_jones_Q":
-        fiber = fiber_override if fiber_override is not None else _DEGREE_ZERO_FIBER
-        return verify_comparison(fiber, cls, target_degree=0)
-    if preset == "ktop_C":
+    if preset in ("goodwillie_jones_Q", "ktop_C"):
         fiber = fiber_override if fiber_override is not None else _DEGREE_ZERO_FIBER
         return verify_comparison(fiber, cls, target_degree=0)
     if preset == "parshin_Fq":
@@ -176,6 +173,15 @@ def _resolve_table(
     return builtin_table(name)
 
 
+def _report_violations(out: _Output, name: str, tree: Tree, group: GroupDatum) -> bool:
+    """Print the tree's violations; True when it is well formed."""
+    violations = validate(tree, group)
+    for v in violations:
+        out.text(f"invalid {name}: {v!r}")
+        out.record(command="validate", target=name, violation=repr(v))
+    return not violations
+
+
 def run_script(script: Script, base_dir: Path, fmt: str = "text") -> tuple[str, int]:
     """Execute a parsed script; returns (output, exit code)."""
     out = _Output(fmt)
@@ -186,11 +192,7 @@ def run_script(script: Script, base_dir: Path, fmt: str = "text") -> tuple[str, 
 
     trees = script.trees
     for name, tree in trees.items():
-        violations = validate(tree, script.group)
-        if violations:
-            for v in violations:
-                out.text(f"invalid {name}: {v!r}")
-                out.record(command="validate", target=name, violation=repr(v))
+        if not _report_violations(out, name, tree, script.group):
             return out.render(), EXIT_VALIDATION
 
     try:
@@ -219,9 +221,6 @@ def _run_classify(
 ) -> None:
     tree = trees[cmd.target]
     cls = classify(tree)
-    out.text(f"{cmd.target}: class {cls.describe()}")
-    for path in cls.assumed_oracles:
-        out.text(f"  assumed oracle at {path}")
     evidence = None
     if cls.tag == "C" and group.is_trivial:
         # a nonzero negative-degree value certifies that no splitting exists
@@ -229,19 +228,25 @@ def _run_classify(
             evidence = refute_membership_b(tree, group)
         except EngineError:
             evidence = None
-        if evidence is not None:
-            out.text(f"  not in class B: {evidence.describe()}")
+    refuted = None
+    if evidence is not None:
+        refuted = {"degree": evidence.degree, **_group_fields(evidence.value)}
+    _report_class(out, cmd.target, cls, b_refuted=refuted)
+    if evidence is not None:
+        out.text(f"  not in class B: {evidence.describe()}")
+
+
+def _report_class(out: _Output, name: str, cls: MembershipClass, **fields) -> None:
+    out.text(f"{name}: class {cls.describe()}")
+    for path in cls.assumed_oracles:
+        out.text(f"  assumed oracle at {path}")
     out.record(
         command="classify",
-        target=cmd.target,
+        target=name,
         tag=cls.tag,
         prime=cls.prime,
         assumed_oracles=list(cls.assumed_oracles),
-        b_refuted=(
-            None
-            if evidence is None
-            else {"degree": evidence.degree, **_group_fields(evidence.value)}
-        ),
+        **fields,
     )
 
 
@@ -365,24 +370,10 @@ def check_script(script: Script, fmt: str = "text") -> tuple[str, int]:
     out = _Output(fmt)
     code = EXIT_OK
     for name, tree in script.trees.items():
-        violations = validate(tree, script.group)
-        if violations:
+        if not _report_violations(out, name, tree, script.group):
             code = EXIT_VALIDATION
-            for v in violations:
-                out.text(f"invalid {name}: {v!r}")
-                out.record(command="validate", target=name, violation=repr(v))
             continue
-        cls = classify(tree)
-        out.text(f"{name}: class {cls.describe()}")
-        for path in cls.assumed_oracles:
-            out.text(f"  assumed oracle at {path}")
-        out.record(
-            command="classify",
-            target=name,
-            tag=cls.tag,
-            prime=cls.prime,
-            assumed_oracles=list(cls.assumed_oracles),
-        )
+        _report_class(out, name, classify(tree))
     return out.render(), code
 
 

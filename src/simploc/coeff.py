@@ -10,6 +10,7 @@ kernel/cokernel extraction in the exact-sequence solver.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 
 # ---------------------------------------------------------------------------
@@ -74,18 +75,6 @@ class FgAbGroup:
     @property
     def is_zero(self) -> bool:
         return self.free_rank == 0 and not self.invariant_factors
-
-    @property
-    def is_finite(self) -> bool:
-        return self.free_rank == 0
-
-    def order(self) -> int:
-        if not self.is_finite:
-            raise ValueError("infinite group")
-        out = 1
-        for f in self.invariant_factors:
-            out *= f
-        return out
 
     def describe(self) -> str:
         unit = "Q" if self.rational else "Z"
@@ -345,19 +334,6 @@ def snf(matrix: list[list[int]]) -> SmithForm:
     )
 
 
-def cokernel_of_map(matrix: list[list[int]], target_rank: int) -> FgAbGroup:
-    """Cokernel of the map given by an integer matrix into Z^target_rank.
-
-    The matrix has target_rank rows (possibly zero columns)."""
-    if len(matrix) != target_rank:
-        raise ValueError("matrix row count does not match the target rank")
-    if target_rank == 0:
-        return ZERO_GROUP
-    if not matrix[0]:
-        return FgAbGroup(target_rank)
-    return snf(matrix).cokernel()
-
-
 # ---------------------------------------------------------------------------
 # coefficient tables
 
@@ -403,28 +379,22 @@ class CoefficientTable:
         if self.group_at(0).free_rank < 1:
             raise ValueError("degree-0 group must have free rank >= 1 (unital ring)")
 
+    @cached_property
     def _stored(self) -> dict[int, FgAbGroup]:
         return dict(self.degree_groups)
 
     def group_at(self, degree: int) -> FgAbGroup:
-        """Total lookup: zero outside the (possibly periodic) support."""
-        stored = self._stored()
+        """Total lookup: zero outside the (possibly periodic) support.  A
+        one-sided period repeats the stored window downwards only."""
+        stored = self._stored
         if degree in stored:
             return stored[degree]
         if self.periodicity is None or not stored:
             return ZERO_GROUP
-        lo = min(stored)
-        hi = max(stored)
-        p = self.periodicity.period
-        if self.periodicity.two_sided:
-            rep = lo + ((degree - lo) % p)
-            return stored.get(rep, ZERO_GROUP)
-        if degree > hi:
-            return ZERO_GROUP
-        rep = degree
-        while rep < lo:
-            rep += p
-        return stored.get(rep, ZERO_GROUP)
+        lo = self.degree_groups[0][0]
+        if self.periodicity.two_sided or degree < lo:
+            return stored.get(lo + (degree - lo) % self.periodicity.period, ZERO_GROUP)
+        return ZERO_GROUP
 
     @property
     def min_degree(self) -> int | None:

@@ -184,6 +184,43 @@ def walk(tree: Tree, path: str = ""):
         yield from walk(child, f"{path}/{i}" if path else str(i))
 
 
+def fold(tree: Tree, visit):
+    """Post-order fold: ``visit(node, child_values)`` runs once per distinct
+    node object (by ``id()``), after its children, and the root's value is
+    returned.  A subtree shared through ``let`` or ``cone`` is evaluated once;
+    values keep paths relative to their node, re-prefixed by the parent per
+    child index (``_subpath``), so every occurrence keeps its own paths.  The
+    explicit stack bounds depth by memory, not the recursion limit.
+    """
+    values: dict[int, object] = {}
+    # a node on the stack is still to expand; a (node, kids) pair is
+    # visited once the kids above it are done
+    stack: list = [tree]
+    while stack:
+        node = stack.pop()
+        if type(node) is tuple:
+            node, kids = node
+        elif id(node) in values:
+            continue
+        else:
+            kids = children(node)
+            if kids:
+                stack.append((node, kids))
+                stack.extend(reversed(kids))
+                continue
+        values[id(node)] = visit(node, [values[id(kid)] for kid in kids])
+    return values[id(tree)]
+
+
+_ROOT = "(root)"
+
+
+def _subpath(index: int, path: str) -> str:
+    """A path given relative to child ``index`` ("" or "(root)" for the child
+    itself), as seen from its parent."""
+    return f"{index}/{path}" if path and path != _ROOT else str(index)
+
+
 # ---------------------------------------------------------------------------
 # validation
 
@@ -194,76 +231,86 @@ class Violation:
     rule: str
 
     def __repr__(self) -> str:
-        where = self.path if self.path else "(root)"
+        where = self.path if self.path else _ROOT
         return f"{where}: {self.rule}"
 
 
-def validate(tree: Tree, group: GroupDatum) -> list[Violation]:
-    """Check all structural invariants recursively; never raises.
-
-    Returns the empty list when the tree is well formed for the group.
-    """
+def _own_violations(node: Tree, group: GroupDatum) -> list[Violation]:
+    """Violations of the node itself, in check order, with paths relative
+    to the node (children excluded)."""
     out: list[Violation] = []
 
-    def bad(path: str, rule: str) -> None:
-        out.append(Violation(path, rule))
+    def bad(rule: str) -> None:
+        out.append(Violation("", rule))
 
-    for path, node in walk(tree):
-        if isinstance(node, HenselianBase):
-            if node.p < 2 or any(node.p % q == 0 for q in range(2, int(node.p**0.5) + 1)):
-                bad(path, f"henselian residue characteristic {node.p} is not prime")
-        elif isinstance(node, FlagBundle):
-            b = node.bundle
-            if b.rank < 1:
-                bad(path, "bundle rank must be >= 1")
-            if not node.d_vec or any(d < 1 for d in node.d_vec):
-                bad(path, "dimension vector entries must be positive")
-            if sum(node.d_vec) > b.rank:
-                bad(path, f"d exceeds rank: total {sum(node.d_vec)} > {b.rank}")
-            if b.split_characters is not None:
-                if len(b.split_characters) != b.rank:
-                    bad(path, "split characters must match the bundle rank")
-                for c in b.split_characters:
-                    if len(c) != group.lattice_rank:
-                        bad(
-                            path,
-                            f"character {c} has {len(c)} coordinates; "
-                            f"the lattice has rank {group.lattice_rank}",
-                        )
-            if b.twist_labels is not None and len(b.twist_labels) != b.rank:
-                bad(path, "twist labels must match the bundle rank")
-        elif isinstance(node, StratifiedDescent):
-            s = node.sheaf
-            if s.generic_rank < 0:
-                bad(path, "generic rank must be non-negative")
-            if s.generic_rank > s.presentation_ranks[1]:
-                bad(path, "generic rank exceeds the presenting bundle rank")
-            if not node.d_vec or any(d < 1 for d in node.d_vec):
-                bad(path, "dimension vector entries must be positive")
-            if sum(node.d_vec) > s.generic_rank:
-                bad(
-                    path,
-                    f"d exceeds generic rank: total {sum(node.d_vec)} > {s.generic_rank}",
-                )
-            if node.oracle_rank is not None and node.oracle_rank < 0:
-                bad(path, "oracle rank must be non-negative")
-        elif isinstance(node, Blowup):
-            labels = set(node.known_labels)
-            if node.unknown_corner not in BLOWUP_CORNERS:
-                bad(path, f"unknown corner {node.unknown_corner!r} is not one of X, Y, Z, E")
-            expected = set(BLOWUP_CORNERS) - {node.unknown_corner}
-            if labels != expected:
-                bad(
-                    path,
-                    f"blowup square must name exactly the corners {sorted(expected)}; got {sorted(labels)}",
-                )
-            if node.split is not None and node.split not in SPLIT_KINDS:
-                bad(path, f"split must be one of {SPLIT_KINDS} or absent")
-            for degree, matrix in node.comparison_maps:
-                widths = {len(row) for row in matrix}
-                if len(widths) > 1:
-                    bad(path, f"comparison map at degree {degree} is ragged")
+    if isinstance(node, HenselianBase):
+        if node.p < 2 or any(node.p % q == 0 for q in range(2, int(node.p**0.5) + 1)):
+            bad(f"henselian residue characteristic {node.p} is not prime")
+    elif isinstance(node, FlagBundle):
+        b = node.bundle
+        if b.rank < 1:
+            bad("bundle rank must be >= 1")
+        if not node.d_vec or any(d < 1 for d in node.d_vec):
+            bad("dimension vector entries must be positive")
+        if sum(node.d_vec) > b.rank:
+            bad(f"d exceeds rank: total {sum(node.d_vec)} > {b.rank}")
+        if b.split_characters is not None:
+            if len(b.split_characters) != b.rank:
+                bad("split characters must match the bundle rank")
+            for c in b.split_characters:
+                if len(c) != group.lattice_rank:
+                    bad(
+                        f"character {c} has {len(c)} coordinates; "
+                        f"the lattice has rank {group.lattice_rank}"
+                    )
+        if b.twist_labels is not None and len(b.twist_labels) != b.rank:
+            bad("twist labels must match the bundle rank")
+    elif isinstance(node, StratifiedDescent):
+        s = node.sheaf
+        if s.generic_rank < 0:
+            bad("generic rank must be non-negative")
+        if s.generic_rank > s.presentation_ranks[1]:
+            bad("generic rank exceeds the presenting bundle rank")
+        if not node.d_vec or any(d < 1 for d in node.d_vec):
+            bad("dimension vector entries must be positive")
+        if sum(node.d_vec) > s.generic_rank:
+            bad(f"d exceeds generic rank: total {sum(node.d_vec)} > {s.generic_rank}")
+        if node.oracle_rank is not None and node.oracle_rank < 0:
+            bad("oracle rank must be non-negative")
+    elif isinstance(node, Blowup):
+        labels = set(node.known_labels)
+        if node.unknown_corner not in BLOWUP_CORNERS:
+            bad(f"unknown corner {node.unknown_corner!r} is not one of X, Y, Z, E")
+        expected = set(BLOWUP_CORNERS) - {node.unknown_corner}
+        if labels != expected:
+            bad(
+                f"blowup square must name exactly the corners {sorted(expected)}; "
+                f"got {sorted(labels)}"
+            )
+        if node.split is not None and node.split not in SPLIT_KINDS:
+            bad(f"split must be one of {SPLIT_KINDS} or absent")
+        for degree, matrix in node.comparison_maps:
+            if len({len(row) for row in matrix}) > 1:
+                bad(f"comparison map at degree {degree} is ragged")
     return out
+
+
+def validate(tree: Tree, group: GroupDatum) -> list[Violation]:
+    """Check all structural invariants; never raises.
+
+    Returns the empty list when the tree is well formed for the group.
+    Violations come in preorder, one per path of a shared node.  The same
+    fold classifies every node, so a later ``classify`` is a lookup.
+    """
+
+    def visit(node: Tree, kids: list) -> tuple[list[Violation], MembershipClass]:
+        found = _own_violations(node, group)
+        for i, (below, _) in enumerate(kids):
+            if below:
+                found.extend(Violation(_subpath(i, v.path), v.rule) for v in below)
+        return found, _classified(node, [cls for _, cls in kids])
+
+    return fold(tree, visit)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -278,7 +325,6 @@ class MembershipClass:
     tag: str
     prime: Optional[int] = None
     assumed_oracles: tuple[str, ...] = ()
-    b_refuted: Optional[object] = None
 
     _STRENGTH = {"B": 3, "C": 2, "C_p": 1, "invalid": 0}
 
@@ -291,31 +337,50 @@ class MembershipClass:
         return self.tag
 
 
+_CLASS_B = MembershipClass("B")
+_CLASS_C = MembershipClass("C")
+
+
+def _classified(node: Tree, kids: list[MembershipClass]) -> MembershipClass:
+    """The node's class from its children's, cached on the immutable node as
+    an instance-dict entry, which ``==``, ``hash`` and ``repr`` ignore."""
+    prime = node.p if isinstance(node, HenselianBase) else None
+    mixed = False
+    unsplit = isinstance(node, Blowup) and node.split is None
+    oracles = [_ROOT] if isinstance(node, StratifiedDescent) and node.oracle_rank is not None else []
+    for i, kid in enumerate(kids):
+        if kid.tag == "invalid":
+            mixed = True
+        elif kid.prime is not None:
+            mixed = mixed or prime not in (None, kid.prime)
+            prime = kid.prime
+        elif kid.tag == "C":
+            unsplit = True
+        if kid.assumed_oracles:
+            oracles.extend(_subpath(i, p) for p in kid.assumed_oracles)
+    if mixed:
+        cls = MembershipClass("invalid", assumed_oracles=tuple(oracles))
+    elif prime is not None:
+        cls = MembershipClass("C_p", prime=prime, assumed_oracles=tuple(oracles))
+    elif oracles:
+        cls = MembershipClass("C" if unsplit else "B", assumed_oracles=tuple(oracles))
+    else:
+        cls = _CLASS_C if unsplit else _CLASS_B
+    node.__dict__["_membership"] = cls
+    return cls
+
+
 def classify(tree: Tree) -> MembershipClass:
     """Syntactic membership class of a validated tree.
 
     B when every blowup declares a splitting and no henselian base appears;
     C when no henselian base appears but some blowup is unsplit; C_p when
     henselian bases appear and agree on the prime; invalid on mixed primes.
+    assumed_oracles lists the descent nodes with a declared rank in preorder.
+    The class is cached on each node (``validate`` fills the cache too).
     """
-    primes: set[int] = set()
-    all_split = True
-    oracles: list[str] = []
-    for path, node in walk(tree):
-        if isinstance(node, HenselianBase):
-            primes.add(node.p)
-        elif isinstance(node, Blowup) and node.split is None:
-            all_split = False
-        elif isinstance(node, StratifiedDescent) and node.oracle_rank is not None:
-            oracles.append(path if path else "(root)")
-    oracle_tuple = tuple(oracles)
-    if len(primes) > 1:
-        return MembershipClass("invalid", assumed_oracles=oracle_tuple)
-    if primes:
-        return MembershipClass("C_p", prime=primes.pop(), assumed_oracles=oracle_tuple)
-    if all_split:
-        return MembershipClass("B", assumed_oracles=oracle_tuple)
-    return MembershipClass("C", assumed_oracles=oracle_tuple)
+    cached = getattr(tree, "_membership", None)
+    return cached if cached is not None else fold(tree, _classified)
 
 
 # ---------------------------------------------------------------------------

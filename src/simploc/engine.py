@@ -12,7 +12,8 @@ vanishing upgrades to per-degree isomorphisms on class B.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from math import factorial
 from typing import Optional, Union
 
@@ -21,6 +22,7 @@ from .coeff import (
     CoefficientTable,
     FgAbGroup,
     SmithForm,
+    builtin_table,
     direct_sum,
     snf,
     summand_complement,
@@ -30,12 +32,13 @@ from .dsl import (
     Blowup,
     Disjoint,
     FlagBundle,
-    HenselianBase,
     MembershipClass,
     Point,
     StratifiedDescent,
     Tree,
+    _subpath,
     classify,
+    fold,
 )
 from .group_rep import (
     GroupDatum,
@@ -114,93 +117,115 @@ class RingPresentation:
     relations: tuple[PresentedPoly, ...]
 
 
+# unknown corner of a split square -> (the two corners that add, the corner
+# that cancels): the unknown's value is their sum minus the third
+_SPLIT_SQUARE = {
+    "X": (("Y", "Z"), "E"),
+    "E": (("Y", "Z"), "X"),
+    "Y": (("X", "E"), "Z"),
+    "Z": (("X", "E"), "Y"),
+}
+
+
 @dataclass(frozen=True)
 class Degree0Module:
-    """Free module of the given rank over R(G), with named basis cells.
+    """Free module of the given rank over R(G).
 
-    ring_presentation is populated on the split-projectivization path only;
     assumed_oracles lists the descent nodes whose declared rank was consumed.
+    basis_labels (named basis cells) and ring_presentation (split
+    projectivization towers only, else None) are built on first access.
     """
 
     rank: int
-    basis_labels: tuple[str, ...]
-    ring_presentation: Optional[RingPresentation] = None
+    tree: Tree = field(compare=False, repr=False)
+    group: GroupDatum
     assumed_oracles: tuple[str, ...] = ()
 
-    def __post_init__(self) -> None:
-        if self.rank != len(self.basis_labels):
-            raise InconsistentDataError("rank must equal the number of basis labels")
+    @cached_property
+    def basis_labels(self) -> tuple[str, ...]:
+        if classify(self.tree).tag == "B":
+            return fold(self.tree, _labels_of)
+        return tuple(f"les:{j}" for j in range(self.rank))
+
+    @cached_property
+    def ring_presentation(self) -> Optional[RingPresentation]:
+        try:
+            return ring_degree0(self.tree, self.group)
+        except UnsupportedError:
+            return None
 
 
-def _degree0_b(tree: Tree, group: GroupDatum, path: str) -> Degree0Module:
-    if isinstance(tree, Point):
-        return Degree0Module(1, ("pt",))
-    if isinstance(tree, HenselianBase):
-        raise UnsupportedError("henselian bases carry no computable module")
-    if isinstance(tree, Disjoint):
-        labels: list[str] = []
-        oracles: list[str] = []
-        for i, child in enumerate(tree.children):
-            sub = _degree0_b(child, group, _child_path(path, i))
-            labels.extend(f"{i}:{lbl}" for lbl in sub.basis_labels)
-            oracles.extend(sub.assumed_oracles)
-        return Degree0Module(len(labels), tuple(labels), assumed_oracles=tuple(oracles))
-    if isinstance(tree, FlagBundle):
-        base = _degree0_b(tree.base, group, _child_path(path, 0))
-        pieces = sod_count(tree.bundle.rank, tree.d_vec)
-        labels = tuple(
-            f"{lbl}|c{j}" for lbl in base.basis_labels for j in range(pieces)
-        )
-        return Degree0Module(len(labels), labels, assumed_oracles=base.assumed_oracles)
-    if isinstance(tree, StratifiedDescent):
-        total = _degree0_b(tree.total_space, group, _child_path(path, 0))
-        if tree.oracle_rank is None:
-            raise UnderdeterminedError(
-                "rank undetermined: summand certificate only "
-                f"(descent node {path or '(root)'} declares no oracle rank)"
-            )
-        if tree.oracle_rank > total.rank:
+class _MissingOracle(Exception):
+    """A descent node without an oracle rank; carries the node."""
+
+
+def _rank_of(node: Tree, kids: list[tuple[int, tuple[str, ...]]]) -> tuple[int, tuple[str, ...]]:
+    """One node of the class-B degree-0 fold: the rank, and the consumed
+    oracle paths relative to the node, children before the node itself."""
+    oracles = tuple(_subpath(i, p) for i, (_, below) in enumerate(kids) for p in below)
+    if isinstance(node, Point):
+        return 1, ()
+    if isinstance(node, Disjoint):
+        return sum(rank for rank, _ in kids), oracles
+    if isinstance(node, FlagBundle):
+        return kids[0][0] * sod_count(node.bundle.rank, node.d_vec), oracles
+    if isinstance(node, StratifiedDescent):
+        if node.oracle_rank is None:
+            raise _MissingOracle(node)
+        if node.oracle_rank > kids[0][0]:
             raise InconsistentDataError(
-                f"oracle rank {tree.oracle_rank} exceeds the total-space rank {total.rank}"
+                f"oracle rank {node.oracle_rank} exceeds the total-space rank {kids[0][0]}"
             )
-        labels = tuple(f"cell{j}" for j in range(tree.oracle_rank))
-        oracles = total.assumed_oracles + (path or "(root)",)
-        return Degree0Module(tree.oracle_rank, labels, assumed_oracles=oracles)
-    if isinstance(tree, Blowup):
-        if tree.split is None:
-            raise HypothesisError("non-split blowup on the class-B path")
-        ranks = {}
-        oracles: list[str] = []
-        for i, (label, corner) in enumerate(tree.known):
-            sub = _degree0_b(corner, group, _child_path(path, i))
-            ranks[label] = sub.rank
-            oracles.extend(sub.assumed_oracles)
-        if tree.unknown_corner == "X":
-            rank = ranks["Y"] + ranks["Z"] - ranks["E"]
-        elif tree.unknown_corner == "E":
-            rank = ranks["Y"] + ranks["Z"] - ranks["X"]
-        elif tree.unknown_corner == "Y":
-            rank = ranks["X"] + ranks["E"] - ranks["Z"]
-        else:
-            rank = ranks["X"] + ranks["E"] - ranks["Y"]
-        if rank < 0:
-            raise InconsistentDataError("inconsistent split data: negative rank")
-        labels = tuple(f"blowup[{tree.split}]:{j}" for j in range(rank))
-        return Degree0Module(rank, labels, assumed_oracles=tuple(oracles))
-    raise TypeError(f"not a construction tree: {tree!r}")
+        return node.oracle_rank, oracles + ("",)
+    # a blowup, split on the class-B path
+    ranks = {label: rank for label, (rank, _) in zip(node.known_labels, kids)}
+    (plus, other), minus = _SPLIT_SQUARE[node.unknown_corner]
+    rank = ranks[plus] + ranks[other] - ranks[minus]
+    if rank < 0:
+        raise InconsistentDataError("inconsistent split data: negative rank")
+    return rank, oracles
 
 
-def _child_path(path: str, index: int) -> str:
-    return f"{path}/{index}" if path else str(index)
+def _labels_of(node: Tree, kids: list[tuple[str, ...]]) -> tuple[str, ...]:
+    """One node of the basis-label fold over a computed class-B tree."""
+    if isinstance(node, Point):
+        return ("pt",)
+    if isinstance(node, Disjoint):
+        return tuple(f"{i}:{lbl}" for i, below in enumerate(kids) for lbl in below)
+    if isinstance(node, FlagBundle):
+        pieces = sod_count(node.bundle.rank, node.d_vec)
+        return tuple(f"{lbl}|c{j}" for lbl in kids[0] for j in range(pieces))
+    if isinstance(node, StratifiedDescent):
+        return tuple(f"cell{j}" for j in range(node.oracle_rank))
+    rank, _ = _rank_of(node, [(len(below), ()) for below in kids])
+    return tuple(f"blowup[{node.split}]:{j}" for j in range(rank))
 
 
-def compute_degree0(tree: Tree, group: GroupDatum) -> Degree0Module:
-    """The degree-zero module, free over R(G).
+def _degree0(tree: Tree, path: str) -> tuple[int, tuple[str, ...]]:
+    """Rank and consumed oracle paths of the class-B tree at ``path``."""
+    try:
+        rank, oracles = fold(tree, _rank_of)
+    except _MissingOracle as exc:
+        def first_path(node: Tree, kids: list[Optional[str]]) -> Optional[str]:
+            below = (_subpath(i, p) for i, p in enumerate(kids) if p is not None)
+            return "" if node is exc.args[0] else next(below, None)
 
-    Class-B trees are evaluated by the closure-rule recursion.  Class-C
-    trees are accepted only with trivial group and comparison maps on every
-    non-split square; the result then carries rank information only.
-    """
+        where = _join(path, fold(tree, first_path))
+        raise UnderdeterminedError(
+            "rank undetermined: summand certificate only "
+            f"(descent node {where} declares no oracle rank)"
+        ) from None
+    return rank, tuple(_join(path, p) for p in oracles)
+
+
+def _join(path: str, below: str) -> str:
+    """The path ``below`` (relative, "" for the node itself) under ``path``."""
+    return "/".join(p for p in (path, below) if p) or "(root)"
+
+
+def _computable_class(tree: Tree, group: GroupDatum) -> MembershipClass:
+    """The tree's class, B or C, or the error for a group or class without
+    computable modules."""
     if isinstance(group, OpaqueGroup):
         raise UnsupportedError("opaque groups admit no ring arithmetic")
     cls = classify(tree)
@@ -208,36 +233,32 @@ def compute_degree0(tree: Tree, group: GroupDatum) -> Degree0Module:
         raise HypothesisError("tree classification is invalid (mixed primes)")
     if cls.tag == "C_p":
         raise UnsupportedError("henselian bases carry no computable module")
+    return cls
+
+
+def compute_degree0(tree: Tree, group: GroupDatum) -> Degree0Module:
+    """The degree-zero module, free over R(G).
+
+    Class-B trees are evaluated by one fold over the closure rules.  Class-C
+    trees are accepted only with trivial group and comparison maps on every
+    non-split square; the result then carries rank information only.
+    """
+    cls = _computable_class(tree, group)
     if cls.tag == "B":
-        module = _degree0_b(tree, group, "")
-        presentation = None
-        try:
-            presentation = ring_degree0(tree, group)
-        except UnsupportedError:
-            presentation = None
-        if presentation is not None:
-            module = Degree0Module(
-                module.rank,
-                module.basis_labels,
-                ring_presentation=presentation,
-                assumed_oracles=module.assumed_oracles,
-            )
-        return module
+        rank, oracles = _degree0(tree, "")
+        return Degree0Module(rank, tree, group, oracles)
     # class C: only the rank is meaningful, via the degreewise solver
     if not group.is_trivial:
         raise UnsupportedError(
             "class-C degree-zero ranks are computed with trivial group only"
         )
-    from .coeff import builtin_table
-
     window = _explicit_eval(tree, group, builtin_table("unit"), 0, 0, "")
     value = window.value_at(0)
     if value.invariant_factors:
         raise InconsistentDataError(
             "degree-zero module acquired torsion; free-module model violated"
         )
-    labels = tuple(f"les:{j}" for j in range(value.free_rank))
-    return Degree0Module(value.free_rank, labels, assumed_oracles=window.assumed_oracles)
+    return Degree0Module(value.free_rank, tree, group, window.assumed_oracles)
 
 
 # ---------------------------------------------------------------------------
@@ -245,17 +266,20 @@ def compute_degree0(tree: Tree, group: GroupDatum) -> Degree0Module:
 
 
 def _split_chain(tree: Tree) -> list[tuple[tuple[int, ...], ...]]:
-    if isinstance(tree, Point):
-        return []
-    if isinstance(tree, FlagBundle):
-        if tuple(tree.d_vec) != (1,):
+    """Split characters of each projectivization, from the point upwards."""
+    chain = []
+    while isinstance(tree, FlagBundle):
+        if tree.d_vec != (1,):
             raise UnsupportedError("ring presentations need projectivizations (d = (1))")
         if tree.bundle.split_characters is None:
             raise UnsupportedError("ring presentations need split bundles")
-        return _split_chain(tree.base) + [tree.bundle.split_characters]
-    raise UnsupportedError(
-        "ring presentations cover chains of split projectivizations over the point"
-    )
+        chain.append(tree.bundle.split_characters)
+        tree = tree.base
+    if not isinstance(tree, Point):
+        raise UnsupportedError(
+            "ring presentations cover chains of split projectivizations over the point"
+        )
+    return chain[::-1]
 
 
 def ring_degree0(tree: Tree, group: GroupDatum) -> RingPresentation:
@@ -292,7 +316,8 @@ def ring_degree0(tree: Tree, group: GroupDatum) -> RingPresentation:
 
 @dataclass(frozen=True)
 class DegreeWindow:
-    """Exact degreewise values on [lo, hi]; degrees below lo are proven zero."""
+    """Exact degreewise values on [lo, hi]; degrees below lo are proven zero.
+    values is dense and sorted: one (degree, group) pair per degree lo..hi."""
 
     values: tuple[tuple[int, FgAbGroup], ...]
     lo: int
@@ -306,7 +331,7 @@ class DegreeWindow:
             raise UnderdeterminedError(
                 f"degree {degree} lies above the solved window [{self.lo}, {self.hi}]"
             )
-        return dict(self.values).get(degree, ZERO_GROUP)
+        return self.values[degree - self.lo][1]
 
 
 @dataclass(frozen=True)
@@ -340,7 +365,7 @@ def formal_value_of_table(table: CoefficientTable, group: GroupDatum) -> GradedM
     return GradedModuleValue(
         group=group,
         shape="formal",
-        degree0=Degree0Module(1, ("pt",)),
+        degree0=Degree0Module(1, Point(), group),
         table=table,
         provenance=("fixture table",),
     )
@@ -405,7 +430,7 @@ def solve_blowup_les(
     corner_windows = {}
     for i, (label, corner) in enumerate(node.known):
         corner_windows[label] = _explicit_eval(
-            corner, group, table, lo - 1, hi + 1, _child_path(path, i)
+            corner, group, table, lo - 1, hi + 1, _join(path, str(i))
         )
     floor = min(w.lo for w in corner_windows.values())
     oracles: list[str] = []
@@ -560,23 +585,19 @@ def _explicit_eval(
     path: str,
 ) -> DegreeWindow:
     """Degreewise value of a (possibly class-C) tree, trivial group."""
-    cls = classify(tree)
-    if cls.tag == "invalid":
-        raise HypothesisError("invalid tree")
-    if cls.tag == "C_p":
-        raise UnsupportedError("henselian bases carry no computable module")
+    cls = _computable_class(tree, group)
     floor = _table_floor(table)
     if cls.tag == "B":
-        module = _degree0_b(tree, group, path)
+        rank, oracles = _degree0(tree, path)
         eff_lo = min(lo, floor)
         values = tuple(
-            (d, tensor_with_free(table.group_at(d), module.rank))
+            (d, tensor_with_free(table.group_at(d), rank))
             for d in range(eff_lo, hi + 1)
         )
-        return DegreeWindow(values, eff_lo, hi, module.assumed_oracles)
+        return DegreeWindow(values, eff_lo, hi, oracles)
     if isinstance(tree, Disjoint):
         subs = [
-            _explicit_eval(child, group, table, lo, hi, _child_path(path, i))
+            _explicit_eval(child, group, table, lo, hi, _join(path, str(i)))
             for i, child in enumerate(tree.children)
         ]
         eff_lo = min([w.lo for w in subs], default=min(lo, floor))
@@ -587,7 +608,7 @@ def _explicit_eval(
         oracles = tuple(o for w in subs for o in w.assumed_oracles)
         return DegreeWindow(values, eff_lo, hi, oracles)
     if isinstance(tree, FlagBundle):
-        base = _explicit_eval(tree.base, group, table, lo, hi, _child_path(path, 0))
+        base = _explicit_eval(tree.base, group, table, lo, hi, _join(path, "0"))
         pieces = sod_count(tree.bundle.rank, tree.d_vec)
         values = tuple(
             (d, tensor_with_free(base.value_at(d), pieces))
@@ -603,21 +624,14 @@ def _explicit_eval(
             subs = {}
             oracles: list[str] = []
             for i, (label, corner) in enumerate(tree.known):
-                w = _explicit_eval(corner, group, table, lo, hi, _child_path(path, i))
+                w = _explicit_eval(corner, group, table, lo, hi, _join(path, str(i)))
                 subs[label] = w
                 oracles.extend(w.assumed_oracles)
             eff_lo = min(w.lo for w in subs.values())
-            if tree.unknown_corner == "X":
-                plus, minus = ("Y", "Z"), "E"
-            elif tree.unknown_corner == "E":
-                plus, minus = ("Y", "Z"), "X"
-            elif tree.unknown_corner == "Y":
-                plus, minus = ("X", "E"), "Z"
-            else:
-                plus, minus = ("X", "E"), "Y"
+            (plus, other), minus = _SPLIT_SQUARE[tree.unknown_corner]
             values = []
             for d in range(eff_lo, hi + 1):
-                total = direct_sum(subs[plus[0]].value_at(d), subs[plus[1]].value_at(d))
+                total = direct_sum(subs[plus].value_at(d), subs[other].value_at(d))
                 try:
                     values.append((d, summand_complement(total, subs[minus].value_at(d))))
                 except ValueError as exc:
@@ -641,13 +655,7 @@ def compute_graded(
     coefficients, comparison maps on every non-split square, and an explicit
     degree window.
     """
-    if isinstance(group, OpaqueGroup):
-        raise UnsupportedError("opaque groups admit no ring arithmetic")
-    cls = classify(tree)
-    if cls.tag == "invalid":
-        raise HypothesisError("tree classification is invalid (mixed primes)")
-    if cls.tag == "C_p":
-        raise UnsupportedError("henselian bases carry no computable module")
+    cls = _computable_class(tree, group)
     if cls.tag == "B":
         module = compute_degree0(tree, group)
         return GradedModuleValue(
@@ -839,8 +847,6 @@ def refute_membership_b(tree: Tree, group: GroupDatum = GroupDatum(0)) -> Option
     Returns None when no obstruction is found (in particular on class-B
     trees, where formality computes the shape directly).
     """
-    from .coeff import builtin_table
-
     cls = classify(tree)
     if cls.tag == "invalid":
         raise HypothesisError("invalid tree")
@@ -869,14 +875,11 @@ def parshin_check(
     table with support outside degree zero withdraws the hypothesis and no
     verdict is issued.
     """
-    from .coeff import builtin_table
-
     cls = classify(tree)
     if cls.tag != "B":
-        if cls.tag in ("C", "C_p", "invalid"):
-            raise HypothesisError(
-                f"vanishing statement needs class B; tree is {cls.describe()}"
-            )
+        raise HypothesisError(
+            f"vanishing statement needs class B; tree is {cls.describe()}"
+        )
     table = point_table if point_table is not None else builtin_table("rational_deg0")
     off_zero = [d for d, g in table.degree_groups if d != 0 and not g.is_zero]
     if off_zero or table.periodicity is not None:

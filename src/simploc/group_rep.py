@@ -10,7 +10,6 @@ elements to integers with convolution product.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 from typing import Iterable, Mapping
 
 
@@ -67,16 +66,6 @@ class GroupDatum:
             raise ValueError(f"no lattice coordinate {i}")
         return self.character(1 if j == i else 0 for j in range(self.lattice_rank))
 
-    def lattice_elements(self):
-        """Iterate the whole lattice; only callable when it is finite."""
-        if self.free_rank > 0:
-            raise ValueError("infinite character lattice")
-        return (
-            self.character(c) for c in product(*(range(o) for o in self.finite_orders))
-        )
-
-
-TRIVIAL_GROUP = GroupDatum(0, ())
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,7 @@ degreewise summand bookkeeping instead of formality.
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 from math import gcd
@@ -23,6 +24,8 @@ from simploc.dsl import (
     SheafDatum,
     StratifiedDescent,
     Tree,
+    children,
+    walk,
 )
 from simploc.group_rep import GroupDatum
 
@@ -299,3 +302,40 @@ def random_class_b_tree(rng: random.Random, group: GroupDatum, depth: int) -> Tr
         d_vec=(d,),
         oracle_rank=oracle,
     )
+
+
+# ---------------------------------------------------------------------------
+# sharing: copies without shared nodes, path-by-path references
+
+
+def unshare(tree: Tree) -> Tree:
+    """Copy of a DAG with a distinct node object at every path."""
+    if isinstance(tree, Disjoint):
+        return Disjoint(tuple(unshare(c) for c in tree.children))
+    if isinstance(tree, FlagBundle):
+        return replace(tree, base=unshare(tree.base))
+    if isinstance(tree, StratifiedDescent):
+        return replace(tree, total_space=unshare(tree.total_space))
+    if isinstance(tree, Blowup):
+        return replace(tree, known=tuple((label, unshare(t)) for label, t in tree.known))
+    return replace(tree)
+
+
+def preorder_oracle_paths(tree: Tree) -> tuple[str, ...]:
+    """Descent nodes declaring a rank, one entry per path, parents first."""
+    return tuple(
+        path or "(root)"
+        for path, node in walk(tree)
+        if isinstance(node, StratifiedDescent) and node.oracle_rank is not None
+    )
+
+
+def degree0_oracle_paths(tree: Tree, path: str = "") -> tuple[str, ...]:
+    """The same paths children first, the order a degree-0 recursion
+    consumes the declared ranks in."""
+    out: list[str] = []
+    for i, child in enumerate(children(tree)):
+        out.extend(degree0_oracle_paths(child, f"{path}/{i}" if path else str(i)))
+    if isinstance(tree, StratifiedDescent) and tree.oracle_rank is not None:
+        out.append(path or "(root)")
+    return tuple(out)
