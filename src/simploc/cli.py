@@ -404,6 +404,10 @@ def main(argv: Optional[list[str]] = None) -> int:
     except (ScriptError, ValueError, EngineError) as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
+    except RecursionError:
+        # one line's expression is parsed recursively
+        print("parse error: expression nested too deeply", file=sys.stderr)
+        return EXIT_VALIDATION
 
     if args.command == "check":
         output, code = check_script(script, args.fmt)

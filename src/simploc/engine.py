@@ -1,4 +1,4 @@
-"""Recursive evaluation of graded invariants over construction trees.
+"""Evaluation of graded invariants over construction trees.
 
 Degree-zero modules are free over the representation ring with explicit
 rank; class-B trees are evaluated through the formality shape (degree-zero
@@ -12,10 +12,10 @@ vanishing upgrades to per-degree isomorphisms on class B.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from math import factorial
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from .coeff import (
     ZERO_GROUP,
@@ -201,26 +201,31 @@ def _labels_of(node: Tree, kids: list[tuple[str, ...]]) -> tuple[str, ...]:
     return tuple(f"blowup[{node.split}]:{j}" for j in range(rank))
 
 
-def _degree0(tree: Tree, path: str) -> tuple[int, tuple[str, ...]]:
-    """Rank and consumed oracle paths of the class-B tree at ``path``."""
+def _degree0(tree: Tree) -> tuple[int, tuple[str, ...]]:
+    """Rank and consumed oracle paths of a class-B tree."""
     try:
         rank, oracles = fold(tree, _rank_of)
     except _MissingOracle as exc:
-        def first_path(node: Tree, kids: list[Optional[str]]) -> Optional[str]:
-            below = (_subpath(i, p) for i, p in enumerate(kids) if p is not None)
-            return "" if node is exc.args[0] else next(below, None)
-
-        where = _join(path, fold(tree, first_path))
-        raise UnderdeterminedError(
-            "rank undetermined: summand certificate only "
-            f"(descent node {where} declares no oracle rank)"
-        ) from None
-    return rank, tuple(_join(path, p) for p in oracles)
+        raise _missing_oracle(tree, exc.args[0]) from None
+    return rank, tuple(_join(p) for p in oracles)
 
 
-def _join(path: str, below: str) -> str:
-    """The path ``below`` (relative, "" for the node itself) under ``path``."""
-    return "/".join(p for p in (path, below) if p) or "(root)"
+def _missing_oracle(tree: Tree, descent: Tree) -> UnderdeterminedError:
+    """The error for an oracle-free descent, named at its first path from ``tree``."""
+
+    def first_path(node: Tree, kids: list[Optional[str]]) -> Optional[str]:
+        below = (_subpath(i, p) for i, p in enumerate(kids) if p is not None)
+        return "" if node is descent else next(below, None)
+
+    return UnderdeterminedError(
+        "rank undetermined: summand certificate only "
+        f"(descent node {_join(fold(tree, first_path))} declares no oracle rank)"
+    )
+
+
+def _join(below: str) -> str:
+    """A path relative to the root ("" for the root itself), as printed."""
+    return below or "(root)"
 
 
 def _computable_class(tree: Tree, group: GroupDatum) -> MembershipClass:
@@ -245,14 +250,14 @@ def compute_degree0(tree: Tree, group: GroupDatum) -> Degree0Module:
     """
     cls = _computable_class(tree, group)
     if cls.tag == "B":
-        rank, oracles = _degree0(tree, "")
+        rank, oracles = _degree0(tree)
         return Degree0Module(rank, tree, group, oracles)
     # class C: only the rank is meaningful, via the degreewise solver
     if not group.is_trivial:
         raise UnsupportedError(
             "class-C degree-zero ranks are computed with trivial group only"
         )
-    window = _explicit_eval(tree, group, builtin_table("unit"), 0, 0, "")
+    window = _explicit_eval(tree, builtin_table("unit"), 0)
     value = window.value_at(0)
     if value.invariant_factors:
         raise InconsistentDataError(
@@ -325,12 +330,12 @@ class DegreeWindow:
     assumed_oracles: tuple[str, ...] = ()
 
     def value_at(self, degree: int) -> FgAbGroup:
-        if degree < self.lo:
-            return ZERO_GROUP
         if degree > self.hi:
             raise UnderdeterminedError(
                 f"degree {degree} lies above the solved window [{self.lo}, {self.hi}]"
             )
+        if degree < self.lo:
+            return ZERO_GROUP
         return self.values[degree - self.lo][1]
 
 
@@ -402,8 +407,17 @@ def _free_rank_of(group_value: FgAbGroup, what: str, degree: int) -> int:
     return group_value.free_rank
 
 
-def _zero_matrix(rows: int, cols: int) -> tuple[tuple[int, ...], ...]:
-    return tuple(tuple(0 for _ in range(cols)) for _ in range(rows))
+def _identity(n: int) -> tuple[tuple[int, ...], ...]:
+    return tuple(tuple(int(r == c) for c in range(n)) for r in range(n))
+
+
+class _Phi(NamedTuple):
+    """phi_i: E(Y) + E(Z) -> E(E), shape-checked and factored once (no form if a side is 0)."""
+
+    matrix: tuple[tuple[int, ...], ...]
+    src: int
+    tgt: int
+    form: Optional[SmithForm]
 
 
 def solve_blowup_les(
@@ -412,7 +426,6 @@ def solve_blowup_les(
     table: CoefficientTable,
     lo: int,
     hi: int,
-    path: str = "",
     collect_witnesses: bool = False,
 ) -> tuple[DegreeWindow, list[LesWitness]]:
     """Solve the unknown corner of a non-split square degree by degree.
@@ -421,225 +434,207 @@ def solve_blowup_les(
     and reads the unknown X off as coker(phi_{i+1}) + ker(phi_i), descending
     until the known corners vanish; below that the unknown is forced to zero.
     Only the base corner can be solved for: the stored comparison matrices
-    present the restriction map out of the cover and center.
+    present the restriction map out of the cover and center.  Witnesses
+    cover the solved degrees in [lo, hi].
     """
-    if node.unknown_corner != "X":
-        raise UnderdeterminedError(
-            "non-split squares are solved for the base corner only"
-        )
-    corner_windows = {}
-    for i, (label, corner) in enumerate(node.known):
-        corner_windows[label] = _explicit_eval(
-            corner, group, table, lo - 1, hi + 1, _join(path, str(i))
-        )
-    floor = min(w.lo for w in corner_windows.values())
-    oracles: list[str] = []
-    for w in corner_windows.values():
-        oracles.extend(w.assumed_oracles)
+    _computable_class(node, group)
+    witnesses: list[LesWitness] = []
+    window = _explicit_eval(node, table, hi, witnesses if collect_witnesses else None)
+    return window, [w for w in witnesses if w.degree >= lo]
 
-    def corner_at(label: str, degree: int) -> FgAbGroup:
-        return corner_windows[label].value_at(degree)
 
+def _les_values(
+    node: Blowup,
+    corners: dict[str, DegreeWindow],
+    lo: int,
+    top: int,
+    witnesses: Optional[list[LesWitness]],
+) -> list[FgAbGroup]:
+    """The base corner of a non-split square in degrees lo..top; each phi_i
+    is built once and read as "above" (degree i - 1) and "here" (degree i)."""
     rational_seen = {
-        g.rational
-        for w in corner_windows.values()
-        for _, g in w.values
-        if not g.is_zero
+        g.rational for w in corners.values() for d, g in w.values if d <= top + 1 and not g.is_zero
     }
     if len(rational_seen) > 1:
         raise InconsistentDataError("corners mix integral and rational coefficients")
     rational = rational_seen.pop() if rational_seen else False
 
-    def phi_matrix(degree: int) -> tuple[tuple[tuple[int, ...], ...], int, int]:
-        if degree > hi + 1:
-            return _zero_matrix(0, 0), 0, 0
-        src = _free_rank_of(corner_at("Y", degree), "cover corner", degree) + _free_rank_of(
-            corner_at("Z", degree), "center corner", degree
-        )
-        tgt = _free_rank_of(corner_at("E", degree), "exceptional corner", degree)
+    def phi(degree: int) -> _Phi:
+        src = _free_rank_of(corners["Y"].value_at(degree), "cover corner", degree)
+        src += _free_rank_of(corners["Z"].value_at(degree), "center corner", degree)
+        tgt = _free_rank_of(corners["E"].value_at(degree), "exceptional corner", degree)
         if src == 0 or tgt == 0:
-            return _zero_matrix(tgt, src), src, tgt
+            return _Phi(((0,) * src,) * tgt, src, tgt, None)
         matrix = node.map_at(degree)
         if matrix is None:
             raise UnderdeterminedError(
                 f"underdetermined LES: missing comparison map in degree {degree}"
             )
         if len(matrix) != tgt or any(len(row) != src for row in matrix):
-            raise InconsistentDataError(
-                f"comparison map in degree {degree} must be {tgt} x {src}"
-            )
-        return matrix, src, tgt
+            raise InconsistentDataError(f"comparison map in degree {degree} must be {tgt} x {src}")
+        return _Phi(matrix, src, tgt, snf([list(r) for r in matrix]))
 
-    solve_lo = min(lo, floor - 1)
-    values: list[tuple[int, FgAbGroup]] = []
-    witnesses: list[LesWitness] = []
-    for degree in range(hi, solve_lo - 1, -1):
-        above, src_above, tgt_above = phi_matrix(degree + 1)
-        here, src_here, tgt_here = phi_matrix(degree)
-        if tgt_above:
-            form_above = snf([list(r) for r in above]) if src_above else None
-            if form_above is None:
-                coker = FgAbGroup(tgt_above, (), rational)
-            else:
-                coker = form_above.cokernel()
-                if rational:
-                    coker = FgAbGroup(coker.free_rank, (), True)
-        else:
-            form_above = None
+    values: list[FgAbGroup] = []
+    above = phi(top + 1)
+    for degree in range(top, lo - 1, -1):
+        here = phi(degree)
+        if not above.tgt:
             coker = ZERO_GROUP
-        if src_here:
-            form_here = snf([list(r) for r in here]) if tgt_here else None
-            ker_rank = (
-                form_here.kernel_rank() if form_here is not None else src_here
-            )
+        elif above.form is None:
+            coker = FgAbGroup(above.tgt, (), rational)
         else:
-            form_here = None
-            ker_rank = 0
+            coker = above.form.cokernel()
+            if rational:
+                coker = FgAbGroup(coker.free_rank, (), True)
+        ker_rank = here.form.kernel_rank() if here.form is not None else here.src
         kernel = FgAbGroup(ker_rank, (), rational) if ker_rank else ZERO_GROUP
-        value = direct_sum(coker, kernel) if not (coker.is_zero and kernel.is_zero) else ZERO_GROUP
-        values.append((degree, value))
-        if collect_witnesses:
-            witnesses.append(
-                _build_witness(
-                    degree,
-                    here,
-                    src_here,
-                    tgt_here,
-                    form_here,
-                    above,
-                    src_above,
-                    tgt_above,
-                    form_above,
-                    coker,
-                    ker_rank,
-                )
-            )
-    window = DegreeWindow(
-        values=tuple(sorted(values)),
-        lo=solve_lo,
-        hi=hi,
-        assumed_oracles=tuple(oracles),
-    )
-    return window, witnesses
+        values.append(direct_sum(coker, kernel))
+        if witnesses is not None:
+            witnesses.append(_build_witness(degree, here, above, coker, ker_rank))
+        above = here
+    return values[::-1]
 
 
 def _build_witness(
-    degree: int,
-    phi: tuple[tuple[int, ...], ...],
-    src: int,
-    tgt: int,
-    form: Optional[SmithForm],
-    phi_above: tuple[tuple[int, ...], ...],
-    src_above: int,
-    tgt_above: int,
-    form_above: Optional[SmithForm],
-    coker: FgAbGroup,
-    ker_rank: int,
+    degree: int, here: _Phi, above: _Phi, coker: FgAbGroup, ker_rank: int
 ) -> LesWitness:
     """Witness matrices in the basis coker(phi_{deg+1}) + ker(phi_deg)."""
     if coker.invariant_factors:
-        raise UnderdeterminedError(
-            "witness extraction needs torsion-free cokernels"
-        )
+        raise UnderdeterminedError("witness extraction needs torsion-free cokernels")
     coker_rank = coker.free_rank
     x_rank = coker_rank + ker_rank
     # inclusion into E(Y)+E(Z): kernel basis columns, zero on the coker part
-    kernel_cols = form.kernel_basis() if form is not None and tgt else []
-    if form is None and src:
-        kernel_cols = [[1 if r == j else 0 for r in range(src)] for j in range(src)]
+    kernel_cols = here.form.kernel_basis() if here.form is not None else _identity(here.src)
     inclusion = tuple(
         tuple(
             0 if col < coker_rank else kernel_cols[col - coker_rank][row]
             for col in range(x_rank)
         )
-        for row in range(src)
+        for row in range(here.src)
     )
-    # boundary from E(E) in the degree above: last rows of the left transform
-    if tgt_above:
-        if form_above is not None:
-            rows = form_above.left[form_above.rank :]
-        else:
-            rows = tuple(
-                tuple(1 if c == r else 0 for c in range(tgt_above))
-                for r in range(tgt_above)
-            )
-        boundary = tuple(
-            tuple(rows[r][c] for c in range(tgt_above)) for r in range(coker_rank)
-        )
-    else:
-        boundary = _zero_matrix(coker_rank, 0)
-    # pad the boundary to land in the full X basis (coker part first)
-    boundary_full = tuple(
-        boundary[r] if r < coker_rank else tuple(0 for _ in range(tgt_above))
+    # boundary from E(E) in the degree above: last rows of the left
+    # transform, padded with zero rows to the full X basis (coker part first)
+    form = above.form
+    rows = form.left[form.rank :] if form is not None else _identity(above.tgt)
+    boundary = tuple(
+        tuple(rows[r][c] for c in range(above.tgt)) if r < coker_rank else (0,) * above.tgt
         for r in range(x_rank)
     )
-    return LesWitness(degree=degree, phi=phi, inclusion=inclusion, boundary=boundary_full)
+    return LesWitness(degree=degree, phi=here.matrix, inclusion=inclusion, boundary=boundary)
+
+
+def _refusal(node: Tree) -> Optional[str]:
+    """Why a class-C node is underdetermined before reading its children."""
+    if isinstance(node, StratifiedDescent):
+        return "stratified descent under non-split data gives a summand certificate only"
+    if isinstance(node, Blowup) and node.split is None and node.unknown_corner != "X":
+        return "non-split squares are solved for the base corner only"
+    return None
+
+
+def _class_c_window(
+    node: Tree,
+    kids: list[DegreeWindow],
+    top: int,
+    witnesses: Optional[list[LesWitness]],
+) -> DegreeWindow:
+    """A class-C node's window up to ``top`` from its children's windows."""
+    oracles = tuple(_subpath(i, p) for i, w in enumerate(kids) for p in w.assumed_oracles)
+    unsplit = isinstance(node, Blowup) and node.split is None
+    # a non-split square's coker(phi_i) reaches one below its corners' floor
+    lo = min(w.lo for w in kids) - (1 if unsplit else 0)
+    degrees = range(lo, top + 1)
+    if unsplit:
+        values = _les_values(node, dict(zip(node.known_labels, kids)), lo, top, witnesses)
+    elif isinstance(node, Disjoint):
+        values = [direct_sum(*(w.value_at(d) for w in kids)) for d in degrees]
+    elif isinstance(node, FlagBundle):
+        pieces = sod_count(node.bundle.rank, node.d_vec)
+        values = [tensor_with_free(kids[0].value_at(d), pieces) for d in degrees]
+    else:  # a split square
+        corners = dict(zip(node.known_labels, kids))
+        (plus, other), minus = _SPLIT_SQUARE[node.unknown_corner]
+        values = []
+        for d in degrees:
+            total = direct_sum(corners[plus].value_at(d), corners[other].value_at(d))
+            try:
+                values.append(summand_complement(total, corners[minus].value_at(d)))
+            except ValueError as exc:
+                raise InconsistentDataError(f"inconsistent split data: {exc}") from None
+    return DegreeWindow(tuple(zip(degrees, values)), lo, top, oracles)
+
+
+def _postorder(tree: Tree) -> list[tuple[Tree, list[Tree], bool]]:
+    """The distinct nodes in post-order with their children and whether they
+    are class B; cached on the tree like its class, for the next evaluation."""
+    nodes = tree.__dict__.get("_postorder")
+    if nodes is None:
+        nodes = []
+
+        def listed(node: Tree, kids: list[Tree]) -> Tree:
+            nodes.append((node, kids, classify(node).tag == "B"))
+            return node
+
+        fold(tree, listed)
+        tree.__dict__["_postorder"] = nodes
+    return nodes
 
 
 def _explicit_eval(
     tree: Tree,
-    group: GroupDatum,
     table: CoefficientTable,
-    lo: int,
     hi: int,
-    path: str,
+    witnesses: Optional[list[LesWitness]] = None,
 ) -> DegreeWindow:
-    """Degreewise value of a (possibly class-C) tree, trivial group."""
-    cls = _computable_class(tree, group)
+    """Degreewise values of a class-C tree up to degree ``hi``, trivial group.
+
+    Three passes over the distinct nodes, none recursive.  One fold lists
+    them in post-order with their children.  Backwards, each node gets the
+    largest top degree its class-C parents read it to (a parent's top, plus
+    one under a non-split square).  Forwards, each node is solved once:
+    class B by its rank (and a window if a class-C parent reads one), class
+    C from its children's windows.  Nothing under a node that fails before
+    reading its children is read, so on a tree the first failure is the one
+    a depth-first evaluation meets.  Oracle paths stay relative to their
+    node until the root.  ``witnesses`` collects a root square's witnesses.
+    """
     floor = _table_floor(table)
-    if cls.tag == "B":
-        rank, oracles = _degree0(tree, path)
-        eff_lo = min(lo, floor)
-        values = tuple(
-            (d, tensor_with_free(table.group_at(d), rank))
-            for d in range(eff_lo, hi + 1)
-        )
-        return DegreeWindow(values, eff_lo, hi, oracles)
-    if isinstance(tree, Disjoint):
-        subs = [
-            _explicit_eval(child, group, table, lo, hi, _join(path, str(i)))
-            for i, child in enumerate(tree.children)
-        ]
-        eff_lo = min([w.lo for w in subs], default=min(lo, floor))
-        values = tuple(
-            (d, direct_sum(*(w.value_at(d) for w in subs)))
-            for d in range(eff_lo, hi + 1)
-        )
-        oracles = tuple(o for w in subs for o in w.assumed_oracles)
-        return DegreeWindow(values, eff_lo, hi, oracles)
-    if isinstance(tree, FlagBundle):
-        base = _explicit_eval(tree.base, group, table, lo, hi, _join(path, "0"))
-        pieces = sod_count(tree.bundle.rank, tree.d_vec)
-        values = tuple(
-            (d, tensor_with_free(base.value_at(d), pieces))
-            for d in range(base.lo, hi + 1)
-        )
-        return DegreeWindow(values, base.lo, hi, base.assumed_oracles)
-    if isinstance(tree, StratifiedDescent):
-        raise UnderdeterminedError(
-            "stratified descent under non-split data gives a summand certificate only"
-        )
-    if isinstance(tree, Blowup):
-        if tree.split is not None:
-            subs = {}
-            oracles: list[str] = []
-            for i, (label, corner) in enumerate(tree.known):
-                w = _explicit_eval(corner, group, table, lo, hi, _join(path, str(i)))
-                subs[label] = w
-                oracles.extend(w.assumed_oracles)
-            eff_lo = min(w.lo for w in subs.values())
-            (plus, other), minus = _SPLIT_SQUARE[tree.unknown_corner]
-            values = []
-            for d in range(eff_lo, hi + 1):
-                total = direct_sum(subs[plus].value_at(d), subs[other].value_at(d))
-                try:
-                    values.append((d, summand_complement(total, subs[minus].value_at(d))))
-                except ValueError as exc:
-                    raise InconsistentDataError(f"inconsistent split data: {exc}") from None
-            return DegreeWindow(tuple(values), eff_lo, hi, tuple(oracles))
-        window, _ = solve_blowup_les(tree, group, table, lo, hi, path)
-        return window
-    raise UnsupportedError(f"no degreewise rule for {type(tree).__name__}")
+    nodes = _postorder(tree)
+    # the top degree each node is read to: the largest its parents ask for
+    tops = {id(tree): hi}
+    for node, kids, class_b in reversed(nodes):
+        if id(node) not in tops or not class_b and _refusal(node) is not None:
+            continue
+        if class_b:
+            top = floor - 1  # class-B parents read ranks only: an empty window
+        else:
+            top = tops[id(node)] + (1 if isinstance(node, Blowup) and node.split is None else 0)
+        for kid in kids:
+            tops[id(kid)] = max(top, tops.get(id(kid), top))
+
+    ranks: dict[int, tuple[int, tuple[str, ...]]] = {}
+    windows: dict[int, DegreeWindow] = {}
+    for node, kids, class_b in nodes:
+        if id(node) not in tops:
+            continue
+        top = tops[id(node)]
+        if class_b:
+            try:
+                rank, oracles = ranks[id(node)] = _rank_of(node, [ranks[id(k)] for k in kids])
+            except _MissingOracle as exc:
+                raise _missing_oracle(tree, exc.args[0]) from None
+            values = tuple(
+                (d, tensor_with_free(table.group_at(d), rank)) for d in range(floor, top + 1)
+            )
+            windows[id(node)] = DegreeWindow(values, floor, top, oracles)
+            continue
+        refusal = _refusal(node)
+        if refusal is not None:
+            raise UnderdeterminedError(refusal)
+        sink = witnesses if node is tree else None
+        windows[id(node)] = _class_c_window(node, [windows[id(k)] for k in kids], top, sink)
+    root = windows[id(tree)]
+    return replace(root, assumed_oracles=tuple(_join(p) for p in root.assumed_oracles))
 
 
 def compute_graded(
@@ -676,7 +671,7 @@ def compute_graded(
     lo, hi = degrees
     if lo > hi:
         raise ValueError("empty degree window")
-    window = _explicit_eval(tree, group, table, lo, hi, "")
+    window = _explicit_eval(tree, table, hi)
     return GradedModuleValue(
         group=group,
         shape="explicit",
@@ -847,16 +842,12 @@ def refute_membership_b(tree: Tree, group: GroupDatum = GroupDatum(0)) -> Option
     Returns None when no obstruction is found (in particular on class-B
     trees, where formality computes the shape directly).
     """
-    cls = classify(tree)
-    if cls.tag == "invalid":
-        raise HypothesisError("invalid tree")
-    if cls.tag == "B":
+    if classify(tree).tag == "B":
         return None
-    if cls.tag == "C_p":
-        raise UnsupportedError("henselian bases carry no computable module")
+    _computable_class(tree, group)
     if not group.is_trivial:
         raise UnsupportedError("refutation runs with trivial group only")
-    window = _explicit_eval(tree, group, builtin_table("unit"), -1, -1, "")
+    window = _explicit_eval(tree, builtin_table("unit"), -1)
     for degree in range(-1, window.lo - 1, -1):
         value = window.value_at(degree)
         if not value.is_zero:

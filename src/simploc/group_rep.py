@@ -142,18 +142,6 @@ class RepRingElement:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int) -> "RepRingElement":
-        if n < 0:
-            raise ValueError("negative powers not supported")
-        result = RepRing(self.group).one
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
     def _coerce(self, other) -> "RepRingElement":
         if isinstance(other, RepRingElement):
             if other.group != self.group:

@@ -83,7 +83,7 @@ def cell_count_finite(datum: FiniteSchubertDatum) -> int:
     return state.get(datum.d, 0)
 
 
-def bott_samelson_tower(datum: FiniteSchubertDatum, group: GroupDatum) -> Tree:
+def bott_samelson_tower(datum: FiniteSchubertDatum) -> Tree:
     """Tower of Grassmannian bundles resolving the Schubert locus.
 
     Step i adds the Grassmannian of d_i-planes in a rank (i - j_{i-1})
@@ -112,7 +112,7 @@ def finite_schubert_tree(datum: FiniteSchubertDatum, group: GroupDatum) -> Tree:
     """Construction tree: Bott-Samelson tower, then descent onto the locus
     with the fixed-point count as the declared rank oracle."""
     _require_torus(group, datum.n)
-    tower = bott_samelson_tower(datum, group)
+    tower = bott_samelson_tower(datum)
     if datum.d == 0:
         return tower
     return StratifiedDescent(

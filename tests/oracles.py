@@ -14,7 +14,15 @@ from fractions import Fraction
 from itertools import product
 from math import gcd
 
-from simploc.coeff import CoefficientTable, FgAbGroup
+from simploc.coeff import (
+    ZERO_GROUP,
+    CoefficientTable,
+    FgAbGroup,
+    direct_sum,
+    snf,
+    summand_complement,
+    tensor_with_free,
+)
 from simploc.dsl import (
     Blowup,
     BundleDatum,
@@ -25,8 +33,10 @@ from simploc.dsl import (
     StratifiedDescent,
     Tree,
     children,
+    classify,
     walk,
 )
+from simploc.engine import DegreeWindow, InconsistentDataError, UnderdeterminedError
 from simploc.group_rep import GroupDatum
 
 
@@ -339,3 +349,147 @@ def degree0_oracle_paths(tree: Tree, path: str = "") -> tuple[str, ...]:
     if isinstance(tree, StratifiedDescent) and tree.oracle_rank is not None:
         out.append(path or "(root)")
     return tuple(out)
+
+
+# ---------------------------------------------------------------------------
+# class-C reference: the degreewise solver as a per-path recursion
+
+
+def _child_path(path: str, index: int) -> str:
+    return f"{path}/{index}" if path else str(index)
+
+
+def _rank_by_path(tree: Tree, path: str) -> tuple[int, tuple[str, ...]]:
+    """Class-B degree-0 rank and consumed oracle paths, children first, by
+    recursion along every path; the engine's error messages."""
+    kids = [_rank_by_path(child, _child_path(path, i)) for i, child in enumerate(children(tree))]
+    oracles = tuple(p for _, below in kids for p in below)
+    if isinstance(tree, Point):
+        return 1, ()
+    if isinstance(tree, Disjoint):
+        return sum(rank for rank, _ in kids), oracles
+    if isinstance(tree, FlagBundle):
+        return kids[0][0] * _tower_pieces(tree.bundle.rank, tree.d_vec), oracles
+    if isinstance(tree, StratifiedDescent):
+        if tree.oracle_rank is None:
+            raise UnderdeterminedError(
+                "rank undetermined: summand certificate only "
+                f"(descent node {path or '(root)'} declares no oracle rank)"
+            )
+        if tree.oracle_rank > kids[0][0]:
+            raise InconsistentDataError(
+                f"oracle rank {tree.oracle_rank} exceeds the total-space rank {kids[0][0]}"
+            )
+        return tree.oracle_rank, oracles + (path or "(root)",)
+    ranks = {label: rank for (label, _), (rank, _) in zip(tree.known, kids)}
+    if tree.unknown_corner in ("X", "E"):
+        rank = ranks["Y"] + ranks["Z"] - ranks["E" if tree.unknown_corner == "X" else "X"]
+    else:
+        rank = ranks["X"] + ranks["E"] - ranks["Z" if tree.unknown_corner == "Y" else "Y"]
+    if rank < 0:
+        raise InconsistentDataError("inconsistent split data: negative rank")
+    return rank, oracles
+
+
+def explicit_window_by_path(tree: Tree, table: CoefficientTable, lo: int, hi: int, path: str = ""):
+    """Degreewise values of a class-C tree with trivial group, solved along
+    every path separately: a shared subtree is solved once per path, each
+    non-split square reads its corners on [lo - 1, hi + 1], and each
+    comparison map is factored once as phi_{i+1} (for the cokernel) and again
+    as phi_i (for the kernel).  Returns a DegreeWindow; raises the engine's
+    errors with its messages, in depth-first order.
+    """
+    floor = table.min_degree
+    if floor is None:
+        raise UnderdeterminedError(
+            f"table {table.name!r} is unbounded below; degreewise solving needs "
+            "bounded-below coefficients"
+        )
+    if classify(tree).tag == "B":
+        rank, oracles = _rank_by_path(tree, path)
+        lo = min(lo, floor)
+        values = tuple((d, tensor_with_free(table.group_at(d), rank)) for d in range(lo, hi + 1))
+        return DegreeWindow(values, lo, hi, oracles)
+    if isinstance(tree, StratifiedDescent):
+        raise UnderdeterminedError(
+            "stratified descent under non-split data gives a summand certificate only"
+        )
+    if isinstance(tree, Blowup) and tree.split is None:
+        return _les_by_path(tree, table, lo, hi, path)
+    subs = [
+        explicit_window_by_path(child, table, lo, hi, _child_path(path, i))
+        for i, child in enumerate(children(tree))
+    ]
+    oracles = tuple(p for w in subs for p in w.assumed_oracles)
+    lo = min(w.lo for w in subs)
+    values = []
+    for d in range(lo, hi + 1):
+        if isinstance(tree, Disjoint):
+            values.append(direct_sum(*(w.value_at(d) for w in subs)))
+        elif isinstance(tree, FlagBundle):
+            pieces = _tower_pieces(tree.bundle.rank, tree.d_vec)
+            values.append(tensor_with_free(subs[0].value_at(d), pieces))
+        else:
+            at = {label: w.value_at(d) for (label, _), w in zip(tree.known, subs)}
+            if tree.unknown_corner in ("X", "E"):
+                total, part = direct_sum(at["Y"], at["Z"]), at["E" if tree.unknown_corner == "X" else "X"]
+            else:
+                total, part = direct_sum(at["X"], at["E"]), at["Z" if tree.unknown_corner == "Y" else "Y"]
+            try:
+                values.append(summand_complement(total, part))
+            except ValueError as exc:
+                raise InconsistentDataError(f"inconsistent split data: {exc}") from None
+    return DegreeWindow(tuple(zip(range(lo, hi + 1), values)), lo, hi, oracles)
+
+
+def _les_by_path(square: Blowup, table: CoefficientTable, lo: int, hi: int, path: str):
+    if square.unknown_corner != "X":
+        raise UnderdeterminedError("non-split squares are solved for the base corner only")
+    corners = {
+        label: explicit_window_by_path(corner, table, lo - 1, hi + 1, _child_path(path, i))
+        for i, (label, corner) in enumerate(square.known)
+    }
+    oracles = tuple(p for w in corners.values() for p in w.assumed_oracles)
+    kinds = {g.rational for w in corners.values() for _, g in w.values if not g.is_zero}
+    if len(kinds) > 1:
+        raise InconsistentDataError("corners mix integral and rational coefficients")
+    rational = kinds.pop() if kinds else False
+
+    def free(label: str, what: str, degree: int) -> int:
+        g = corners[label].value_at(degree)
+        if g.invariant_factors:
+            raise UnderdeterminedError(
+                f"{what} has torsion in degree {degree}; the matrix solver covers free corners only"
+            )
+        return g.free_rank
+
+    def phi(degree: int):
+        src = free("Y", "cover corner", degree) + free("Z", "center corner", degree)
+        tgt = free("E", "exceptional corner", degree)
+        if src == 0 or tgt == 0:
+            return None, src, tgt
+        matrix = square.map_at(degree)
+        if matrix is None:
+            raise UnderdeterminedError(
+                f"underdetermined LES: missing comparison map in degree {degree}"
+            )
+        if len(matrix) != tgt or any(len(row) != src for row in matrix):
+            raise InconsistentDataError(f"comparison map in degree {degree} must be {tgt} x {src}")
+        return matrix, src, tgt
+
+    bottom = min(lo, min(w.lo for w in corners.values()) - 1)
+    values = []
+    for degree in range(hi, bottom - 1, -1):
+        above, _, tgt_above = phi(degree + 1)
+        here, src_here, _ = phi(degree)
+        if not tgt_above:
+            coker = ZERO_GROUP
+        elif above is None:
+            coker = FgAbGroup(tgt_above, (), rational)
+        else:
+            coker = snf([list(r) for r in above]).cokernel()
+            if rational:
+                coker = FgAbGroup(coker.free_rank, (), True)
+        ker_rank = snf([list(r) for r in here]).kernel_rank() if here is not None else src_here
+        values.append((degree, direct_sum(coker, FgAbGroup(ker_rank, (), rational) if ker_rank else ZERO_GROUP)))
+    return DegreeWindow(tuple(reversed(values)), bottom, hi, oracles)

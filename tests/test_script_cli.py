@@ -322,3 +322,15 @@ def test_presets_refuse_synthetic_fiber():
 def test_unknown_preset():
     with pytest.raises(LookupError):
         preset_verdict("mystery", example_library("cusp"), TRIV)
+
+
+def test_deeply_nested_expression_exits_one_without_traceback(tmp_path, capsys):
+    expr = "point"
+    for _ in range(400):
+        expr = f"disjoint({expr})"
+    script = tmp_path / "deep.slc"
+    script.write_text(f"group trivial\nlet x = {expr}\nclassify x\n")
+    assert main(["run", str(script)]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err == "parse error: expression nested too deeply\n"
+    assert "Traceback" not in err
