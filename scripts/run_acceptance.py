@@ -4,7 +4,9 @@
 import sys
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
+ROOT = Path(__file__).resolve().parent.parent
+# the repository root for ``tests``, and src/ for an uninstalled ``simploc``
+sys.path[:0] = [str(ROOT), str(ROOT / "src")]
 
 from tests.test_acceptance import main
 

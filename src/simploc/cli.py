@@ -25,7 +25,7 @@ from pathlib import Path
 from typing import Optional, Union
 
 from .coeff import CoefficientTable, FgAbGroup, builtin_table, parse_table_file
-from .dsl import MembershipClass, Tree, classify, validate
+from .dsl import Disjoint, MembershipClass, Tree, Violation, classify, validate
 from .engine import (
     EngineError,
     FiberTable,
@@ -173,9 +173,19 @@ def _resolve_table(
     return builtin_table(name)
 
 
-def _report_violations(out: _Output, name: str, tree: Tree, group: GroupDatum) -> bool:
-    """Print the tree's violations; True when it is well formed."""
-    violations = validate(tree, group)
+def _violations(trees: dict[str, Tree], group: GroupDatum) -> dict[str, list[Violation]]:
+    """Each named tree's violations, from one fold over all the trees, so a
+    subtree shared between names is checked once."""
+    found: dict[str, list[Violation]] = {name: [] for name in trees}
+    names = list(trees)
+    for v in validate(Disjoint(tuple(trees.values())), group):
+        index, _, path = v.path.partition("/")
+        found[names[int(index)]].append(Violation(path, v.rule))
+    return found
+
+
+def _report_violations(out: _Output, name: str, violations: list[Violation]) -> bool:
+    """Print a tree's violations; True when it is well formed."""
     for v in violations:
         out.text(f"invalid {name}: {v!r}")
         out.record(command="validate", target=name, violation=repr(v))
@@ -191,8 +201,8 @@ def run_script(script: Script, base_dir: Path, fmt: str = "text") -> tuple[str, 
         return f"table error: {exc}\n", EXIT_VALIDATION
 
     trees = script.trees
-    for name, tree in trees.items():
-        if not _report_violations(out, name, tree, script.group):
+    for name, violations in _violations(trees, script.group).items():
+        if not _report_violations(out, name, violations):
             return out.render(), EXIT_VALIDATION
 
     try:
@@ -369,11 +379,12 @@ def check_script(script: Script, fmt: str = "text") -> tuple[str, int]:
     """Validate and classify every declared tree; no computation."""
     out = _Output(fmt)
     code = EXIT_OK
-    for name, tree in script.trees.items():
-        if not _report_violations(out, name, tree, script.group):
+    trees = script.trees
+    for name, violations in _violations(trees, script.group).items():
+        if not _report_violations(out, name, violations):
             code = EXIT_VALIDATION
             continue
-        _report_class(out, name, classify(tree))
+        _report_class(out, name, classify(trees[name]))
     return out.render(), code
 
 
@@ -396,7 +407,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     path = Path(args.script)
     try:
         text = path.read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"cannot read script: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     try:

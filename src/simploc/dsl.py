@@ -235,6 +235,35 @@ class Violation:
         return f"{where}: {self.rule}"
 
 
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# the least odd composite passing Miller-Rabin for every base in _WITNESSES
+_WITNESS_BOUND = 3_317_044_064_679_887_385_961_981
+
+
+def _not_prime(n: int) -> Optional[str]:
+    """Why n is not accepted as prime, or None: deterministic Miller-Rabin,
+    exact below _WITNESS_BOUND."""
+    if n < 2:
+        return "is not prime"
+    for a in _WITNESSES:
+        if n % a == 0:
+            return None if n == a else "is not prime"
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _WITNESSES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return "is not prime"
+    return None if n < _WITNESS_BOUND else "is too large to certify as prime"
+
+
 def _own_violations(node: Tree, group: GroupDatum) -> list[Violation]:
     """Violations of the node itself, in check order, with paths relative
     to the node (children excluded)."""
@@ -244,8 +273,9 @@ def _own_violations(node: Tree, group: GroupDatum) -> list[Violation]:
         out.append(Violation("", rule))
 
     if isinstance(node, HenselianBase):
-        if node.p < 2 or any(node.p % q == 0 for q in range(2, int(node.p**0.5) + 1)):
-            bad(f"henselian residue characteristic {node.p} is not prime")
+        fault = _not_prime(node.p)
+        if fault:
+            bad(f"henselian residue characteristic {node.p} {fault}")
     elif isinstance(node, FlagBundle):
         b = node.bundle
         if b.rank < 1:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from math import factorial
+from math import comb
 from typing import NamedTuple, Optional, Union
 
 from .coeff import (
@@ -86,9 +86,10 @@ def sod_count(rank: int, d_vec: tuple[int, ...]) -> int:
     total = sum(d_vec)
     if total > rank:
         raise ValueError(f"dimension vector total {total} exceeds rank {rank}")
-    out = factorial(rank) // factorial(rank - total)
+    out = 1
     for d in d_vec:
-        out //= factorial(d)
+        out *= comb(rank, d)
+        rank -= d
     return out
 
 

@@ -21,8 +21,9 @@ The printer emits explicit forms only, and parse(print(tree)) round-trips.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from .dsl import (
     Blowup,
@@ -59,65 +60,51 @@ class ScriptError(Exception):
 # tokens
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # IDENT INT STRING LPAREN RPAREN LBRACKET RBRACKET EQ COMMA COLON DOTDOT END
     text: str
     line: int
     col: int
 
 
+# One token after optional blanks; the end of the line and a comment match
+# no named group.  IDENT also matches a first character that is a digit or
+# numeric but not a decimal digit (``²``, ``½``), rejected below.
+_TOKEN = re.compile(
+    r'[ \t]*(?:\Z|#|(?P<STRING>"[^"]*")|(?P<INT>-?\d+)|(?P<IDENT>[^\W\d]\w*)'
+    r"|(?P<PUNCT>\.\.|[()\[\]=,:])|(?P<OTHER>.))",
+    re.DOTALL,
+)
+_PUNCT = {
+    "..": "DOTDOT",
+    "(": "LPAREN",
+    ")": "RPAREN",
+    "[": "LBRACKET",
+    "]": "RBRACKET",
+    "=": "EQ",
+    ",": "COMMA",
+    ":": "COLON",
+}
+
+
 def _tokenize_line(text: str, line: int) -> list[Token]:
     out: list[Token] = []
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch in " \t":
-            i += 1
-            continue
-        if ch == "#":
+    # every position starts a match, so the matches tile the line
+    for match in _TOKEN.finditer(text):
+        kind = match.lastgroup
+        if kind is None:
             break
-        col = i + 1
-        if ch == '"':
-            j = text.find('"', i + 1)
-            if j < 0:
+        value = match.group(kind)
+        col = match.start(kind) + 1
+        if kind == "STRING":
+            value = value[1:-1]
+        elif kind == "PUNCT":
+            kind = _PUNCT[value]
+        elif kind == "OTHER" or (kind == "IDENT" and not (value[0].isalpha() or value[0] == "_")):
+            if value == '"':
                 raise ScriptError("unterminated string", line, col)
-            out.append(Token("STRING", text[i + 1 : j], line, col))
-            i = j + 1
-            continue
-        if ch.isdigit() or (ch == "-" and i + 1 < n and text[i + 1].isdigit()):
-            j = i + 1
-            while j < n and text[j].isdigit():
-                j += 1
-            out.append(Token("INT", text[i:j], line, col))
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i + 1
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            out.append(Token("IDENT", text[i:j], line, col))
-            i = j
-            continue
-        if text.startswith("..", i):
-            out.append(Token("DOTDOT", "..", line, col))
-            i += 2
-            continue
-        kinds = {
-            "(": "LPAREN",
-            ")": "RPAREN",
-            "[": "LBRACKET",
-            "]": "RBRACKET",
-            "=": "EQ",
-            ",": "COMMA",
-            ":": "COLON",
-        }
-        if ch in kinds:
-            out.append(Token(kinds[ch], ch, line, col))
-            i += 1
-            continue
-        raise ScriptError(f"unexpected character {ch!r}", line, col)
+            raise ScriptError(f"unexpected character {value[0]!r}", line, col)
+        out.append(Token(kind, value, line, col))
     out.append(Token("END", "", line, len(text) + 1))
     return out
 
@@ -215,31 +202,19 @@ def _as_int_tuple(value: ArgValue, what: str, tok: Token) -> tuple[int, ...]:
     raise ScriptError(f"{what} must be an integer or tuple of integers", tok.line, tok.col)
 
 
-def _as_char_tuple(value: ArgValue, what: str, tok: Token) -> tuple[tuple[int, ...], ...]:
+def _as_rows(value: ArgValue, tok: Token, outer: str, inner: str) -> tuple[tuple[int, ...], ...]:
+    """A tuple of integer tuples (a bare integer is a 1-tuple); ``outer`` and
+    ``inner`` are the messages for a bad value and a bad entry."""
     if not isinstance(value, tuple):
-        raise ScriptError(f"{what} must be a tuple of character tuples", tok.line, tok.col)
-    out = []
-    for item in value:
-        if isinstance(item, int):
-            out.append((item,))
-        elif isinstance(item, tuple) and all(isinstance(v, int) for v in item):
-            out.append(tuple(item))
-        else:
-            raise ScriptError(f"{what} entries must be integer tuples", tok.line, tok.col)
-    return tuple(out)
-
-
-def _as_matrix(value: object, tok: Token) -> tuple[tuple[int, ...], ...]:
-    if not isinstance(value, tuple):
-        raise ScriptError("matrix must be a tuple of row tuples", tok.line, tok.col)
+        raise ScriptError(outer, tok.line, tok.col)
     rows = []
     for row in value:
         if isinstance(row, int):
             rows.append((row,))
         elif isinstance(row, tuple) and all(isinstance(v, int) for v in row):
-            rows.append(tuple(row))
+            rows.append(row)
         else:
-            raise ScriptError("matrix rows must be integer tuples", tok.line, tok.col)
+            raise ScriptError(inner, tok.line, tok.col)
     return tuple(rows)
 
 
@@ -258,20 +233,23 @@ def _as_tree(value: ArgValue, env: "_Env", tok: Token) -> Tree:
 
 
 NULLARY = ("point", "cusp", "node", "cone_of_P1")
-CALL_HEADS = (
-    "P",
-    "Gr",
-    "Flag",
-    "hirzebruch",
-    "cone",
-    "schubert",
-    "affine",
-    "disjoint",
-    "flagbundle",
-    "descent",
-    "blowup",
-    "henselian",
-)
+# each call head's number of positional arguments (None: any number) and
+# the keywords it accepts
+_SIGNATURES: dict[str, tuple[Optional[int], tuple[str, ...]]] = {
+    "P": (1, ()),
+    "Gr": (2, ()),
+    "Flag": (1, ("d",)),
+    "hirzebruch": (1, ()),
+    "cone": (2, ()),
+    "schubert": (2, ("j",)),
+    "affine": (1, ("mu",)),
+    "disjoint": (None, ()),
+    "flagbundle": (1, ("rank", "d", "chars", "twists")),
+    "descent": (1, ("rank", "pres", "d", "oracle")),
+    "blowup": (None, ("unknown", "split", "X", "Y", "Z", "E", "maps")),
+    "henselian": (1, ()),
+}
+CALL_HEADS = tuple(_SIGNATURES)
 
 
 class _Env:
@@ -292,10 +270,10 @@ class _Env:
 
 def _parse_args(
     cur: _Cursor, env: _Env
-) -> tuple[list[tuple[ArgValue, Token]], dict[str, tuple[ArgValue, Token]]]:
+) -> tuple[list[tuple[ArgValue, Token]], dict[str, ArgValue]]:
     cur.expect("LPAREN")
     positional: list[tuple[ArgValue, Token]] = []
-    keywords: dict[str, tuple[ArgValue, Token]] = {}
+    keywords: dict[str, ArgValue] = {}
     if cur.peek().kind != "RPAREN":
         while True:
             tok = cur.peek()
@@ -304,7 +282,7 @@ def _parse_args(
                 cur.next()
                 if tok.text in keywords:
                     raise ScriptError(f"duplicate keyword {tok.text!r}", tok.line, tok.col)
-                keywords[tok.text] = (_parse_value(cur, env), tok)
+                keywords[tok.text] = _parse_value(cur, env)
             else:
                 positional.append((_parse_value(cur, env), tok))
             if cur.peek().kind != "COMMA":
@@ -320,27 +298,20 @@ def _parse_expr(cur: _Cursor, env: _Env) -> Tree:
     if cur.peek().kind != "LPAREN":
         return env.resolve(Word(head, tok.line, tok.col))
     pos, kw = _parse_args(cur, env)
-
-    def need_pos(count: int) -> None:
-        if len(pos) != count:
-            raise ScriptError(f"{head} takes {count} positional argument(s)", tok.line, tok.col)
-
-    def no_extra_kw(allowed: set[str]) -> None:
-        extra = set(kw) - allowed
-        if extra:
-            raise ScriptError(
-                f"{head} got unexpected keyword(s) {sorted(extra)}", tok.line, tok.col
-            )
+    if head not in _SIGNATURES:
+        raise ScriptError(f"unknown constructor {head!r}", tok.line, tok.col)
+    count, allowed = _SIGNATURES[head]
+    if count is not None and len(pos) != count:
+        raise ScriptError(f"{head} takes {count} positional argument(s)", tok.line, tok.col)
+    extra = set(kw).difference(allowed)
+    if extra:
+        raise ScriptError(f"{head} got unexpected keyword(s) {sorted(extra)}", tok.line, tok.col)
 
     if head == "P":
-        need_pos(1)
-        no_extra_kw(set())
         return example_library(
             "projective_space", _as_int(pos[0][0], "dimension", tok), group=env.group
         )
     if head == "Gr":
-        need_pos(2)
-        no_extra_kw(set())
         return example_library(
             "grassmannian",
             _as_int(pos[0][0], "n", tok),
@@ -348,94 +319,83 @@ def _parse_expr(cur: _Cursor, env: _Env) -> Tree:
             group=env.group,
         )
     if head == "Flag":
-        need_pos(1)
-        no_extra_kw({"d"})
         if "d" not in kw:
             raise ScriptError("Flag needs d=(...)", tok.line, tok.col)
         return example_library(
             "flag",
             _as_int(pos[0][0], "n", tok),
-            _as_int_tuple(kw["d"][0], "d", tok),
+            _as_int_tuple(kw["d"], "d", tok),
             group=env.group,
         )
     if head == "hirzebruch":
-        need_pos(1)
-        no_extra_kw(set())
         return example_library("hirzebruch", _as_int(pos[0][0], "twist", tok), group=env.group)
     if head == "cone":
-        need_pos(2)
-        no_extra_kw(set())
         base = _as_tree(pos[0][0], env, tok)
         return example_library(
             "projective_cone", base, _as_int(pos[1][0], "twist", tok), group=env.group
         )
     if head == "schubert":
-        need_pos(2)
-        no_extra_kw({"j"})
         if "j" not in kw:
             raise ScriptError("schubert needs j=(...)", tok.line, tok.col)
         datum = FiniteSchubertDatum(
             _as_int(pos[0][0], "n", tok),
             _as_int(pos[1][0], "d", tok),
-            _as_int_tuple(kw["j"][0], "j", tok),
+            _as_int_tuple(kw["j"], "j", tok),
         )
         if env.normalize:
             datum = normalize_j(datum)
         return finite_schubert_tree(datum, env.group)
     if head == "affine":
-        need_pos(1)
-        no_extra_kw({"mu"})
         if "mu" not in kw:
             raise ScriptError("affine needs mu=(...)", tok.line, tok.col)
         datum = CoweightDatum(
-            _as_int(pos[0][0], "n", tok), _as_int_tuple(kw["mu"][0], "mu", tok)
+            _as_int(pos[0][0], "n", tok), _as_int_tuple(kw["mu"], "mu", tok)
         )
         return affine_schubert_tree(datum, env.group)
     if head == "disjoint":
-        no_extra_kw(set())
         return Disjoint(tuple(_as_tree(v, env, t) for v, t in pos))
     if head == "flagbundle":
-        need_pos(1)
-        no_extra_kw({"rank", "d", "chars", "twists"})
         if "rank" not in kw or "d" not in kw:
             raise ScriptError("flagbundle needs rank= and d=", tok.line, tok.col)
-        chars = (
-            _as_char_tuple(kw["chars"][0], "chars", tok) if "chars" in kw else None
-        )
-        twists = _as_int_tuple(kw["twists"][0], "twists", tok) if "twists" in kw else None
+        chars = None
+        if "chars" in kw:
+            chars = _as_rows(
+                kw["chars"],
+                tok,
+                "chars must be a tuple of character tuples",
+                "chars entries must be integer tuples",
+            )
+        twists = _as_int_tuple(kw["twists"], "twists", tok) if "twists" in kw else None
         return FlagBundle(
             _as_tree(pos[0][0], env, tok),
-            BundleDatum(_as_int(kw["rank"][0], "rank", tok), chars, twists),
-            _as_int_tuple(kw["d"][0], "d", tok),
+            BundleDatum(_as_int(kw["rank"], "rank", tok), chars, twists),
+            _as_int_tuple(kw["d"], "d", tok),
         )
     if head == "descent":
-        need_pos(1)
-        no_extra_kw({"rank", "pres", "d", "oracle"})
         if "rank" not in kw or "pres" not in kw or "d" not in kw:
             raise ScriptError("descent needs rank=, pres= and d=", tok.line, tok.col)
-        pres = _as_int_tuple(kw["pres"][0], "pres", tok)
+        pres = _as_int_tuple(kw["pres"], "pres", tok)
         if len(pres) != 2:
             raise ScriptError("pres must be a pair", tok.line, tok.col)
-        oracle = _as_int(kw["oracle"][0], "oracle", tok) if "oracle" in kw else None
+        oracle = _as_int(kw["oracle"], "oracle", tok) if "oracle" in kw else None
         return StratifiedDescent(
             _as_tree(pos[0][0], env, tok),
-            SheafDatum(_as_int(kw["rank"][0], "rank", tok), (pres[0], pres[1])),
-            _as_int_tuple(kw["d"][0], "d", tok),
+            SheafDatum(_as_int(kw["rank"], "rank", tok), (pres[0], pres[1])),
+            _as_int_tuple(kw["d"], "d", tok),
             oracle,
         )
     if head == "blowup":
-        no_extra_kw({"unknown", "split", "X", "Y", "Z", "E", "maps"})
         if pos:
             raise ScriptError("blowup takes keyword arguments only", tok.line, tok.col)
         unknown = "X"
         if "unknown" in kw:
-            val = kw["unknown"][0]
+            val = kw["unknown"]
             if not isinstance(val, Word):
                 raise ScriptError("unknown= must be a corner label", tok.line, tok.col)
             unknown = val.name
         split: Optional[str] = None
         if "split" in kw:
-            val = kw["split"][0]
+            val = kw["split"]
             if not isinstance(val, Word) or val.name not in ("retraction", "section", "none"):
                 raise ScriptError(
                     "split= must be retraction, section or none", tok.line, tok.col
@@ -451,19 +411,17 @@ def _parse_expr(cur: _Cursor, env: _Env) -> Tree:
                 continue
             if label not in kw:
                 raise ScriptError(f"blowup is missing corner {label}=", tok.line, tok.col)
-            known.append((label, _as_tree(kw[label][0], env, tok)))
+            known.append((label, _as_tree(kw[label], env, tok)))
         maps: tuple[tuple[int, tuple[tuple[int, ...], ...]], ...] = ()
         if "maps" in kw:
-            val = kw["maps"][0]
+            val = kw["maps"]
             if not isinstance(val, MapLit):
                 raise ScriptError("maps= must be a [degree: matrix, ...] literal", tok.line, tok.col)
-            maps = tuple((deg, _as_matrix(m, tok)) for deg, m in val.pairs)
+            errors = "matrix must be a tuple of row tuples", "matrix rows must be integer tuples"
+            maps = tuple((deg, _as_rows(m, tok, *errors)) for deg, m in val.pairs)
         return Blowup(tuple(known), unknown, split, maps)
-    if head == "henselian":
-        need_pos(1)
-        no_extra_kw(set())
-        return HenselianBase(_as_int(pos[0][0], "prime", tok))
-    raise ScriptError(f"unknown constructor {head!r}", tok.line, tok.col)
+    # henselian: the one head left
+    return HenselianBase(_as_int(pos[0][0], "prime", tok))
 
 
 # ---------------------------------------------------------------------------
@@ -540,6 +498,13 @@ def _parse_key_eq(cur: _Cursor, key: str) -> None:
     if tok.text != key:
         raise ScriptError(f"expected {key}=", tok.line, tok.col)
     cur.expect("EQ")
+
+
+def _parse_target(cur: _Cursor, names: dict[str, Tree], head: Token) -> str:
+    target = cur.expect("IDENT").text
+    if target not in names:
+        raise ScriptError(f"undefined name {target!r}", head.line, head.col)
+    return target
 
 
 def _parse_degree_range(cur: _Cursor) -> tuple[int, int]:
@@ -636,9 +601,7 @@ def parse(text: str, normalize_j_sequences: bool = False) -> Script:
             names[name] = tree
             statements.append(LetDecl(name, tree))
         elif head.text == "compute":
-            target = cur.expect("IDENT").text
-            if target not in names:
-                raise ScriptError(f"undefined name {target!r}", head.line, head.col)
+            target = _parse_target(cur, names, head)
             _parse_key_eq(cur, "table")
             table = cur.expect("IDENT").text
             _parse_key_eq(cur, "degrees")
@@ -646,23 +609,17 @@ def parse(text: str, normalize_j_sequences: bool = False) -> Script:
             cur.expect("END")
             statements.append(ComputeCmd(target, table, lo, hi))
         elif head.text == "classify":
-            target = cur.expect("IDENT").text
-            if target not in names:
-                raise ScriptError(f"undefined name {target!r}", head.line, head.col)
+            target = _parse_target(cur, names, head)
             cur.expect("END")
             statements.append(ClassifyCmd(target))
         elif head.text == "verdict":
-            target = cur.expect("IDENT").text
-            if target not in names:
-                raise ScriptError(f"undefined name {target!r}", head.line, head.col)
+            target = _parse_target(cur, names, head)
             _parse_key_eq(cur, "preset")
             preset = cur.expect("IDENT").text
             cur.expect("END")
             statements.append(VerdictCmd(target, preset))
         elif head.text == "report":
-            target = cur.expect("IDENT").text
-            if target not in names:
-                raise ScriptError(f"undefined name {target!r}", head.line, head.col)
+            target = _parse_target(cur, names, head)
             _parse_key_eq(cur, "kh")
             kh = cur.expect("IDENT").text
             _parse_key_eq(cur, "hcminus")

@@ -38,6 +38,7 @@ from simploc.dsl import (
 )
 from simploc.engine import DegreeWindow, InconsistentDataError, UnderdeterminedError
 from simploc.group_rep import GroupDatum
+from simploc.script import ScriptError, Token
 
 
 # ---------------------------------------------------------------------------
@@ -493,3 +494,63 @@ def _les_by_path(square: Blowup, table: CoefficientTable, lo: int, hi: int, path
         ker_rank = snf([list(r) for r in here]).kernel_rank() if here is not None else src_here
         values.append((degree, direct_sum(coker, FgAbGroup(ker_rank, (), rational) if ker_rank else ZERO_GROUP)))
     return DegreeWindow(tuple(reversed(values)), bottom, hi, oracles)
+
+
+# ---------------------------------------------------------------------------
+# script tokenizer: the character-by-character scanner the one-pattern
+# tokenizer replaced
+
+
+def tokenize_line_reference(text: str, line: int) -> list[Token]:
+    out: list[Token] = []
+    i = 0
+    n = len(text)
+    while i < n:
+        ch = text[i]
+        if ch in " \t":
+            i += 1
+            continue
+        if ch == "#":
+            break
+        col = i + 1
+        if ch == '"':
+            j = text.find('"', i + 1)
+            if j < 0:
+                raise ScriptError("unterminated string", line, col)
+            out.append(Token("STRING", text[i + 1 : j], line, col))
+            i = j + 1
+            continue
+        if ch.isdigit() or (ch == "-" and i + 1 < n and text[i + 1].isdigit()):
+            j = i + 1
+            while j < n and text[j].isdigit():
+                j += 1
+            out.append(Token("INT", text[i:j], line, col))
+            i = j
+            continue
+        if ch.isalpha() or ch == "_":
+            j = i + 1
+            while j < n and (text[j].isalnum() or text[j] == "_"):
+                j += 1
+            out.append(Token("IDENT", text[i:j], line, col))
+            i = j
+            continue
+        if text.startswith("..", i):
+            out.append(Token("DOTDOT", "..", line, col))
+            i += 2
+            continue
+        kinds = {
+            "(": "LPAREN",
+            ")": "RPAREN",
+            "[": "LBRACKET",
+            "]": "RBRACKET",
+            "=": "EQ",
+            ",": "COMMA",
+            ":": "COLON",
+        }
+        if ch in kinds:
+            out.append(Token(kinds[ch], ch, line, col))
+            i += 1
+            continue
+        raise ScriptError(f"unexpected character {ch!r}", line, col)
+    out.append(Token("END", "", line, len(text) + 1))
+    return out

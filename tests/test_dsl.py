@@ -95,6 +95,35 @@ def test_classify_henselian():
     assert classify(same).tag == "C_p"
 
 
+
+def _trial_division_prime(n: int) -> bool:
+    return n >= 2 and all(n % q for q in range(2, int(n**0.5) + 1))
+
+
+def _henselian_rules(p: int) -> list[str]:
+    return [v.rule for v in validate(HenselianBase(p), TRIV)]
+
+
+def test_henselian_primality_agrees_with_trial_division():
+    for p in range(-2, 10**5):
+        assert (_henselian_rules(p) == []) == _trial_division_prime(p), p
+
+
+def test_henselian_rejects_strong_pseudoprimes_and_huge_composites():
+    # 561 is a Carmichael number; 2047 and 3215031751 are strong
+    # pseudoprimes to base 2 and to bases 2, 3, 5, 7
+    for p in (561, 2047, 3215031751, 10**400):
+        assert _henselian_rules(p) == [f"henselian residue characteristic {p} is not prime"]
+
+
+def test_henselian_large_primes():
+    assert _henselian_rules(10**18 + 3) == []
+    assert classify(HenselianBase(10**18 + 3)).tag == "C_p"
+    p = 2**89 - 1  # prime, above the bound of the deterministic witness set
+    assert _henselian_rules(p) == [
+        f"henselian residue characteristic {p} is too large to certify as prime"
+    ]
+
 def test_classify_records_oracles():
     tree = StratifiedDescent(Point(), SheafDatum(1, (1, 1)), (1,), oracle_rank=1)
     cls = classify(tree)

@@ -1,5 +1,6 @@
 import random
-from itertools import combinations
+from itertools import combinations, product
+from math import factorial
 
 import pytest
 
@@ -69,6 +70,22 @@ def test_sod_count_range_error():
     with pytest.raises(ValueError):
         sod_count(3, (1, 0))
 
+
+
+def test_sod_count_matches_factorials():
+    for rank in range(1, 13):
+        for parts in range(1, 4):
+            for d_vec in product(range(1, rank + 1), repeat=parts):
+                if sum(d_vec) > rank:
+                    continue
+                expected = factorial(rank) // factorial(rank - sum(d_vec))
+                for d in d_vec:
+                    expected //= factorial(d)
+                assert sod_count(rank, d_vec) == expected
+
+
+def test_sod_count_huge_rank():
+    assert sod_count(10**9 + 1, (1,)) == 10**9 + 1
 
 def test_sod_count_tower_consistency():
     # refining d_vec to unit steps multiplies in the full-flag counts of the
