@@ -24,8 +24,8 @@ import sys
 from pathlib import Path
 from typing import Optional, Union
 
-from .coeff import CoefficientTable, FgAbGroup, builtin_table, parse_table_file
-from .dsl import Disjoint, MembershipClass, Tree, Violation, classify, validate
+from .coeff import CoefficientTable, FgAbGroup, builtin_table, direct_sum, parse_table_file
+from .dsl import MembershipClass, Tree, Violation, classify, validate_names
 from .engine import (
     EngineError,
     FiberTable,
@@ -37,8 +37,6 @@ from .engine import (
     Verdict,
     ZERO_FIBER,
     compute_graded,
-    decompose_positive_k,
-    formal_value_of_table,
     parshin_check,
     positive_split_verdict,
     refute_membership_b,
@@ -78,7 +76,6 @@ def preset_verdict(
     group: GroupDatum,
     tree_class: Optional[MembershipClass] = None,
     fiber_override: Optional[FiberTable] = None,
-    point_table_override: Optional[CoefficientTable] = None,
 ) -> Union[Verdict, NoVerdict]:
     """Run a named comparison preset on a tree.
 
@@ -93,7 +90,7 @@ def preset_verdict(
         fiber = fiber_override if fiber_override is not None else _DEGREE_ZERO_FIBER
         return verify_comparison(fiber, cls, target_degree=0)
     if preset == "parshin_Fq":
-        if fiber_override is not None and point_table_override is None:
+        if fiber_override is not None:
             # a fiber probe with support off degree zero withdraws the
             # concentration hypothesis
             off_zero = [
@@ -103,7 +100,7 @@ def preset_verdict(
                 return NoVerdict(
                     "rationalized point values are not concentrated in degree zero"
                 )
-        return parshin_check(tree, group, point_table_override)
+        return parshin_check(tree, group)
     raise LookupError(f"unknown preset {preset!r} (choose from {PRESET_IDS})")
 
 
@@ -173,17 +170,6 @@ def _resolve_table(
     return builtin_table(name)
 
 
-def _violations(trees: dict[str, Tree], group: GroupDatum) -> dict[str, list[Violation]]:
-    """Each named tree's violations, from one fold over all the trees, so a
-    subtree shared between names is checked once."""
-    found: dict[str, list[Violation]] = {name: [] for name in trees}
-    names = list(trees)
-    for v in validate(Disjoint(tuple(trees.values())), group):
-        index, _, path = v.path.partition("/")
-        found[names[int(index)]].append(Violation(path, v.rule))
-    return found
-
-
 def _report_violations(out: _Output, name: str, violations: list[Violation]) -> bool:
     """Print a tree's violations; True when it is well formed."""
     for v in violations:
@@ -201,7 +187,7 @@ def run_script(script: Script, base_dir: Path, fmt: str = "text") -> tuple[str, 
         return f"table error: {exc}\n", EXIT_VALIDATION
 
     trees = script.trees
-    for name, violations in _violations(trees, script.group).items():
+    for name, violations in validate_names(trees, script.group).items():
         if not _report_violations(out, name, violations):
             return out.render(), EXIT_VALIDATION
 
@@ -272,6 +258,7 @@ def _run_compute(
     cls = classify(tree)
     value = compute_graded(tree, group, table, degrees=(cmd.lo, cmd.hi))
     flags = list(value.provenance) + [f"oracle:{p}" for p in value.assumed_oracles]
+    sorted_flags = sorted(flags)
     out.text(f"{cmd.target} [class {cls.describe()}; table {table.name}]")
     for degree in range(cmd.lo, cmd.hi + 1):
         g = value.value_at(degree)
@@ -281,7 +268,7 @@ def _run_compute(
             target=cmd.target,
             table=table.name,
             degree=degree,
-            flags=sorted(flags),
+            flags=sorted_flags,
             **_group_fields(g),
         )
     for flag in flags:
@@ -338,7 +325,6 @@ def _run_report(
     kh_table = _resolve_table(cmd.kh, user_tables)
     hcm_table = _resolve_table(cmd.hcminus, user_tables)
     kh_value = compute_graded(tree, group, kh_table)
-    hcm_value = formal_value_of_table(hcm_table, group)
     split = positive_split_verdict(cls, cmd.hi) if cmd.hi >= 1 else None
     out.text(
         f"{cmd.target} report [class B; kh={kh_table.name}; hcminus={hcm_table.name}]"
@@ -348,7 +334,7 @@ def _run_report(
         kh_g = kh_value.value_at(degree)
         hcm_g = hcm_table.group_at(degree)
         if degree >= 1:
-            k_g = decompose_positive_k(kh_value, hcm_value, cls, degree)
+            k_g = direct_sum(kh_g, hcm_g)
             rule = "split decomposition"
         elif degree == 0:
             k_g = kh_g
@@ -380,7 +366,7 @@ def check_script(script: Script, fmt: str = "text") -> tuple[str, int]:
     out = _Output(fmt)
     code = EXIT_OK
     trees = script.trees
-    for name, violations in _violations(trees, script.group).items():
+    for name, violations in validate_names(trees, script.group).items():
         if not _report_violations(out, name, violations):
             code = EXIT_VALIDATION
             continue

@@ -9,48 +9,76 @@ kernel/cokernel extraction in the exact-sequence solver.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
+from math import gcd
 
 
 # ---------------------------------------------------------------------------
 # finitely generated abelian groups
 
 
-def _canonical_chain(factors: list[int]) -> tuple[int, ...]:
+def _coprime_base(values) -> list[int]:
+    """Pairwise coprime integers > 1 of which every value (each > 1) is a
+    product of powers: gcd factor refinement, no factoring.  Inserting x
+    next to a base element b sharing g = gcd(x, b) > 1 replaces b by the
+    pieces b/g, g and x/g, which are inserted in turn; the product of the
+    base and the pending pieces drops by g each time, so this ends.
+    """
+    base: list[int] = []
+    pending = list(values)
+    while pending:
+        x = pending.pop()
+        for i, b in enumerate(base):
+            g = gcd(x, b)
+            if g > 1:
+                base[i] = base[-1]
+                base.pop()
+                pending.extend(piece for piece in (b // g, g, x // g) if piece > 1)
+                break
+        else:
+            base.append(x)
+    return base
+
+
+def _primary_parts(value: int, base: list[int]) -> list[tuple[int, int]]:
+    """(b, b^e) for each base element b dividing value, where b^e is the
+    power of b in it; value is the product of these powers."""
+    parts = []
+    for b in base:
+        q = 1
+        while value % b == 0:
+            value //= b
+            q *= b
+        if q > 1:
+            parts.append((b, q))
+    return parts
+
+
+def _canonical_chain(factors: tuple[int, ...]) -> tuple[int, ...]:
     """Merge arbitrary torsion factors into the canonical divisibility chain.
 
-    Splits every factor into prime powers, then for each prime stacks the
-    powers from the largest down, so factor k divides factor k+1.
+    Splits every factor into powers of a coprime base of the distinct
+    factors, then for each base element stacks its powers from the largest
+    down, so factor k divides factor k+1 (the same chain as stacking prime
+    powers, since a base element's primes all rise with its exponent).
     """
-    by_prime: dict[int, list[int]] = {}
-    for f in factors:
-        if f < 0:
-            f = -f
-        if f in (0, 1):
-            continue
-        n = f
-        d = 2
-        while d * d <= n:
-            if n % d == 0:
-                e = 0
-                while n % d == 0:
-                    n //= d
-                    e += 1
-                by_prime.setdefault(d, []).append(d**e)
-            d += 1
-        if n > 1:
-            by_prime.setdefault(n, []).append(n)
-    for powers in by_prime.values():
-        powers.sort(reverse=True)
-    depth = max((len(p) for p in by_prime.values()), default=0)
-    chain = []
-    for level in range(depth - 1, -1, -1):
-        val = 1
-        for powers in by_prime.values():
-            if level < len(powers):
-                val *= powers[level]
-        chain.append(val)
+    counts = Counter(abs(f) for f in factors)
+    del counts[0], counts[1]
+    if not counts:
+        return ()
+    base = _coprime_base(counts)
+    stacks: dict[int, list[int]] = {b: [] for b in base}
+    for value, n in counts.items():
+        for b, q in _primary_parts(value, base):
+            stacks[b] += [q] * n
+    depth = max(len(powers) for powers in stacks.values())
+    chain = [1] * depth
+    for powers in stacks.values():
+        powers.sort()
+        for level, q in enumerate(powers, start=depth - len(powers)):
+            chain[level] *= q
     return tuple(chain)
 
 
@@ -69,7 +97,8 @@ class FgAbGroup:
     def __post_init__(self) -> None:
         if self.free_rank < 0:
             raise ValueError("free_rank must be non-negative")
-        factors = () if self.rational else _canonical_chain(list(self.invariant_factors))
+        torsion = self.invariant_factors if not self.rational else ()
+        factors = _canonical_chain(torsion) if torsion else ()
         object.__setattr__(self, "invariant_factors", factors)
 
     @property
@@ -134,20 +163,24 @@ def hom_rank(source: FgAbGroup, target: FgAbGroup) -> int:
 def summand_complement(total: FgAbGroup, part: FgAbGroup) -> FgAbGroup:
     """The complement C with total = part + C, when it exists.
 
-    Krull-Schmidt for f.g. abelian groups makes C well defined; raises if
-    part does not embed as a direct summand descriptor-wise.
+    Krull-Schmidt for f.g. abelian groups makes C well defined: the torsion
+    cancels as multisets of primary parts, here the powers of a coprime base
+    of both groups' factors (Z/6 = Z/2 + Z/3 cancels Z/2); raises if part is
+    not a direct summand.
     """
     if total.rational != part.rational and not part.is_zero and not total.is_zero:
         raise ValueError("cannot cancel between integral and rational descriptors")
     free = total.free_rank - part.free_rank
     if free < 0:
         raise ValueError("free rank of summand exceeds the total")
-    remaining = list(total.invariant_factors)
+    base = _coprime_base(set(total.invariant_factors + part.invariant_factors))
+    remaining = Counter(q for f in total.invariant_factors for _, q in _primary_parts(f, base))
     for f in part.invariant_factors:
-        if f not in remaining:
+        needed = Counter(q for _, q in _primary_parts(f, base))
+        if needed - remaining:
             raise ValueError(f"torsion factor Z/{f} is not a summand of the total")
-        remaining.remove(f)
-    return FgAbGroup(free, tuple(remaining), total.rational)
+        remaining -= needed
+    return FgAbGroup(free, tuple(remaining.elements()), total.rational)
 
 
 # ---------------------------------------------------------------------------

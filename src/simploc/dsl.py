@@ -12,7 +12,8 @@ A C tag means "B not established by this tree", not "provably not in B".
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Union
+from math import inf
+from typing import NamedTuple, Optional, Union
 
 from .group_rep import GroupDatum
 
@@ -187,10 +188,9 @@ def walk(tree: Tree, path: str = ""):
 def fold(tree: Tree, visit):
     """Post-order fold: ``visit(node, child_values)`` runs once per distinct
     node object (by ``id()``), after its children, and the root's value is
-    returned.  A subtree shared through ``let`` or ``cone`` is evaluated once;
-    values keep paths relative to their node, re-prefixed by the parent per
-    child index (``_subpath``), so every occurrence keeps its own paths.  The
-    explicit stack bounds depth by memory, not the recursion limit.
+    returned.  A subtree shared through ``let`` or ``cone`` is evaluated once,
+    so values hold no paths: paths are listed from the root by ``_listed``.
+    The explicit stack bounds depth by memory, not the recursion limit.
     """
     values: dict[int, object] = {}
     # a node on the stack is still to expand; a (node, kids) pair is
@@ -215,10 +215,37 @@ def fold(tree: Tree, visit):
 _ROOT = "(root)"
 
 
-def _subpath(index: int, path: str) -> str:
-    """A path given relative to child ``index`` ("" or "(root)" for the child
-    itself), as seen from its parent."""
-    return f"{index}/{path}" if path and path != _ROOT else str(index)
+def _listed(tree: Tree, count, own):
+    """Yield ``(path, item)`` for every item of ``own(node)`` at every path of
+    ``tree``, in preorder ("" is the root's path).  ``count(node)`` is the
+    number of items at and below the node; only nodes where it is nonzero
+    are entered, so the work follows the paths listed.
+    """
+    stack = [(tree, "")] if count(tree) else []
+    while stack:
+        node, path = stack.pop()
+        for item in own(node):
+            yield path, item
+        kids = children(node)
+        for i in range(len(kids) - 1, -1, -1):
+            if count(kids[i]):
+                stack.append((kids[i], f"{path}/{i}" if path else str(i)))
+
+
+def children_first(paths: tuple[str, ...]) -> tuple[str, ...]:
+    """Preorder oracle paths reordered so that each node follows the nodes
+    below it: the order in which a post-order fold consumes their ranks."""
+    return tuple(
+        sorted(paths, key=lambda p: [inf] if p == _ROOT else [*map(int, p.split("/")), inf])
+    )
+
+
+def first_path(tree: Tree, target: Tree) -> str:
+    """The first path, in preorder, from ``tree`` to the node ``target``."""
+    reaches: dict[int, bool] = {}  # whether the target lies at or below a node
+    fold(tree, lambda node, kids: reaches.setdefault(id(node), node is target or any(kids)))
+    path, _ = next(_listed(tree, lambda n: reaches[id(n)], lambda n: (n,) if n is target else ()))
+    return path or _ROOT
 
 
 # ---------------------------------------------------------------------------
@@ -233,7 +260,6 @@ class Violation:
     def __repr__(self) -> str:
         where = self.path if self.path else _ROOT
         return f"{where}: {self.rule}"
-
 
 _WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 # the least odd composite passing Miller-Rabin for every base in _WITNESSES
@@ -264,13 +290,10 @@ def _not_prime(n: int) -> Optional[str]:
     return None if n < _WITNESS_BOUND else "is too large to certify as prime"
 
 
-def _own_violations(node: Tree, group: GroupDatum) -> list[Violation]:
-    """Violations of the node itself, in check order, with paths relative
-    to the node (children excluded)."""
-    out: list[Violation] = []
-
-    def bad(rule: str) -> None:
-        out.append(Violation("", rule))
+def _own_violations(node: Tree, group: GroupDatum) -> list[str]:
+    """The rules the node itself breaks, in check order (children excluded)."""
+    out: list[str] = []
+    bad = out.append
 
     if isinstance(node, HenselianBase):
         fault = _not_prime(node.p)
@@ -330,17 +353,29 @@ def validate(tree: Tree, group: GroupDatum) -> list[Violation]:
 
     Returns the empty list when the tree is well formed for the group.
     Violations come in preorder, one per path of a shared node.  The same
-    fold classifies every node, so a later ``classify`` is a lookup.
+    fold classifies every node, so a later ``classify`` reads cached classes.
     """
+    return validate_names({"": tree}, group)[""]
 
-    def visit(node: Tree, kids: list) -> tuple[list[Violation], MembershipClass]:
-        found = _own_violations(node, group)
-        for i, (below, _) in enumerate(kids):
-            if below:
-                found.extend(Violation(_subpath(i, v.path), v.rule) for v in below)
-        return found, _classified(node, [cls for _, cls in kids])
 
-    return fold(tree, visit)[0]
+def validate_names(trees: dict[str, Tree], group: GroupDatum) -> dict[str, list[Violation]]:
+    """Each named tree's violations, with paths from its own root, from one
+    fold over all the trees: a subtree shared between names is checked once.
+    The fold keeps each node's own rules and its violation count; the paths
+    are listed from each name's root."""
+    rules: dict[int, list[str]] = {}
+    counts: dict[int, int] = {}
+
+    def visit(node: Tree, kids: list) -> tuple[int, _Class]:
+        own = _own_violations(node, group)
+        if own:
+            rules[id(node)] = own
+        count = counts[id(node)] = len(own) + sum(n for n, _ in kids)
+        return count, _classified(node, [cls for _, cls in kids])
+
+    fold(Disjoint(tuple(trees.values())), visit)
+    count, own = (lambda n: counts[id(n)]), (lambda n: rules.get(id(n), ()))
+    return {name: [Violation(*v) for v in _listed(tree, count, own)] for name, tree in trees.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -367,18 +402,27 @@ class MembershipClass:
         return self.tag
 
 
-_CLASS_B = MembershipClass("B")
-_CLASS_C = MembershipClass("C")
+class _Class(NamedTuple):
+    """The class cached on a node, with the number of oracle paths below it."""
+
+    tag: str
+    prime: Optional[int]
+    oracles: int
 
 
-def _classified(node: Tree, kids: list[MembershipClass]) -> MembershipClass:
+def _oracles_at(node: Tree) -> int:
+    """1 for a descent node declaring a rank, else 0."""
+    return int(isinstance(node, StratifiedDescent) and node.oracle_rank is not None)
+
+
+def _classified(node: Tree, kids: list[_Class]) -> _Class:
     """The node's class from its children's, cached on the immutable node as
     an instance-dict entry, which ``==``, ``hash`` and ``repr`` ignore."""
     prime = node.p if isinstance(node, HenselianBase) else None
     mixed = False
     unsplit = isinstance(node, Blowup) and node.split is None
-    oracles = [_ROOT] if isinstance(node, StratifiedDescent) and node.oracle_rank is not None else []
-    for i, kid in enumerate(kids):
+    oracles = _oracles_at(node)
+    for kid in kids:
         if kid.tag == "invalid":
             mixed = True
         elif kid.prime is not None:
@@ -386,18 +430,23 @@ def _classified(node: Tree, kids: list[MembershipClass]) -> MembershipClass:
             prime = kid.prime
         elif kid.tag == "C":
             unsplit = True
-        if kid.assumed_oracles:
-            oracles.extend(_subpath(i, p) for p in kid.assumed_oracles)
+        oracles += kid.oracles
     if mixed:
-        cls = MembershipClass("invalid", assumed_oracles=tuple(oracles))
-    elif prime is not None:
-        cls = MembershipClass("C_p", prime=prime, assumed_oracles=tuple(oracles))
-    elif oracles:
-        cls = MembershipClass("C" if unsplit else "B", assumed_oracles=tuple(oracles))
+        cls = _Class("invalid", None, oracles)
     else:
-        cls = _CLASS_C if unsplit else _CLASS_B
+        cls = _Class("C_p" if prime is not None else "C" if unsplit else "B", prime, oracles)
     node.__dict__["_membership"] = cls
     return cls
+
+
+def _class_of(tree: Tree) -> _Class:
+    return tree.__dict__.get("_membership") or fold(tree, _classified)
+
+
+def class_tag(tree: Tree) -> str:
+    """The tree's membership tag, read from the class cached on each node;
+    unlike ``classify`` it lists no paths."""
+    return _class_of(tree).tag
 
 
 def classify(tree: Tree) -> MembershipClass:
@@ -407,10 +456,12 @@ def classify(tree: Tree) -> MembershipClass:
     C when no henselian base appears but some blowup is unsplit; C_p when
     henselian bases appear and agree on the prime; invalid on mixed primes.
     assumed_oracles lists the descent nodes with a declared rank in preorder.
-    The class is cached on each node (``validate`` fills the cache too).
+    The class is cached on each node (``validate`` fills the cache too), and
+    the paths are listed from the root, entering only subtrees holding one.
     """
-    cached = getattr(tree, "_membership", None)
-    return cached if cached is not None else fold(tree, _classified)
+    tag, prime, _ = _class_of(tree)
+    paths = _listed(tree, lambda n: n._membership.oracles, lambda n: range(_oracles_at(n)))
+    return MembershipClass(tag, prime, tuple(path or _ROOT for path, _ in paths))
 
 
 # ---------------------------------------------------------------------------

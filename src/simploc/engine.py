@@ -36,8 +36,10 @@ from .dsl import (
     Point,
     StratifiedDescent,
     Tree,
-    _subpath,
+    children_first,
+    class_tag,
     classify,
+    first_path,
     fold,
 )
 from .group_rep import (
@@ -144,7 +146,7 @@ class Degree0Module:
 
     @cached_property
     def basis_labels(self) -> tuple[str, ...]:
-        if classify(self.tree).tag == "B":
+        if class_tag(self.tree) == "B":
             return fold(self.tree, _labels_of)
         return tuple(f"les:{j}" for j in range(self.rank))
 
@@ -160,31 +162,29 @@ class _MissingOracle(Exception):
     """A descent node without an oracle rank; carries the node."""
 
 
-def _rank_of(node: Tree, kids: list[tuple[int, tuple[str, ...]]]) -> tuple[int, tuple[str, ...]]:
-    """One node of the class-B degree-0 fold: the rank, and the consumed
-    oracle paths relative to the node, children before the node itself."""
-    oracles = tuple(_subpath(i, p) for i, (_, below) in enumerate(kids) for p in below)
+def _rank_of(node: Tree, kids: list[int]) -> int:
+    """One node of the class-B degree-0 fold: the rank from the children's."""
     if isinstance(node, Point):
-        return 1, ()
+        return 1
     if isinstance(node, Disjoint):
-        return sum(rank for rank, _ in kids), oracles
+        return sum(kids)
     if isinstance(node, FlagBundle):
-        return kids[0][0] * sod_count(node.bundle.rank, node.d_vec), oracles
+        return kids[0] * sod_count(node.bundle.rank, node.d_vec)
     if isinstance(node, StratifiedDescent):
         if node.oracle_rank is None:
             raise _MissingOracle(node)
-        if node.oracle_rank > kids[0][0]:
+        if node.oracle_rank > kids[0]:
             raise InconsistentDataError(
-                f"oracle rank {node.oracle_rank} exceeds the total-space rank {kids[0][0]}"
+                f"oracle rank {node.oracle_rank} exceeds the total-space rank {kids[0]}"
             )
-        return node.oracle_rank, oracles + ("",)
+        return node.oracle_rank
     # a blowup, split on the class-B path
-    ranks = {label: rank for label, (rank, _) in zip(node.known_labels, kids)}
+    ranks = dict(zip(node.known_labels, kids))
     (plus, other), minus = _SPLIT_SQUARE[node.unknown_corner]
     rank = ranks[plus] + ranks[other] - ranks[minus]
     if rank < 0:
         raise InconsistentDataError("inconsistent split data: negative rank")
-    return rank, oracles
+    return rank
 
 
 def _labels_of(node: Tree, kids: list[tuple[str, ...]]) -> tuple[str, ...]:
@@ -198,48 +198,37 @@ def _labels_of(node: Tree, kids: list[tuple[str, ...]]) -> tuple[str, ...]:
         return tuple(f"{lbl}|c{j}" for lbl in kids[0] for j in range(pieces))
     if isinstance(node, StratifiedDescent):
         return tuple(f"cell{j}" for j in range(node.oracle_rank))
-    rank, _ = _rank_of(node, [(len(below), ()) for below in kids])
+    rank = _rank_of(node, [len(below) for below in kids])
     return tuple(f"blowup[{node.split}]:{j}" for j in range(rank))
 
 
-def _degree0(tree: Tree) -> tuple[int, tuple[str, ...]]:
-    """Rank and consumed oracle paths of a class-B tree."""
+def _degree0(tree: Tree) -> int:
+    """Rank of a class-B tree."""
     try:
-        rank, oracles = fold(tree, _rank_of)
+        return fold(tree, _rank_of)
     except _MissingOracle as exc:
         raise _missing_oracle(tree, exc.args[0]) from None
-    return rank, tuple(_join(p) for p in oracles)
 
 
 def _missing_oracle(tree: Tree, descent: Tree) -> UnderdeterminedError:
     """The error for an oracle-free descent, named at its first path from ``tree``."""
-
-    def first_path(node: Tree, kids: list[Optional[str]]) -> Optional[str]:
-        below = (_subpath(i, p) for i, p in enumerate(kids) if p is not None)
-        return "" if node is descent else next(below, None)
-
     return UnderdeterminedError(
         "rank undetermined: summand certificate only "
-        f"(descent node {_join(fold(tree, first_path))} declares no oracle rank)"
+        f"(descent node {first_path(tree, descent)} declares no oracle rank)"
     )
 
 
-def _join(below: str) -> str:
-    """A path relative to the root ("" for the root itself), as printed."""
-    return below or "(root)"
-
-
-def _computable_class(tree: Tree, group: GroupDatum) -> MembershipClass:
-    """The tree's class, B or C, or the error for a group or class without
-    computable modules."""
+def _computable_tag(tree: Tree, group: GroupDatum) -> str:
+    """The tree's class tag, B or C, or the error for a group or class
+    without computable modules."""
     if isinstance(group, OpaqueGroup):
         raise UnsupportedError("opaque groups admit no ring arithmetic")
-    cls = classify(tree)
-    if cls.tag == "invalid":
+    tag = class_tag(tree)
+    if tag == "invalid":
         raise HypothesisError("tree classification is invalid (mixed primes)")
-    if cls.tag == "C_p":
+    if tag == "C_p":
         raise UnsupportedError("henselian bases carry no computable module")
-    return cls
+    return tag
 
 
 def compute_degree0(tree: Tree, group: GroupDatum) -> Degree0Module:
@@ -249,10 +238,9 @@ def compute_degree0(tree: Tree, group: GroupDatum) -> Degree0Module:
     trees are accepted only with trivial group and comparison maps on every
     non-split square; the result then carries rank information only.
     """
-    cls = _computable_class(tree, group)
-    if cls.tag == "B":
-        rank, oracles = _degree0(tree)
-        return Degree0Module(rank, tree, group, oracles)
+    if _computable_tag(tree, group) == "B":
+        oracles = children_first(classify(tree).assumed_oracles)
+        return Degree0Module(_degree0(tree), tree, group, oracles)
     # class C: only the rank is meaningful, via the degreewise solver
     if not group.is_trivial:
         raise UnsupportedError(
@@ -438,7 +426,7 @@ def solve_blowup_les(
     present the restriction map out of the cover and center.  Witnesses
     cover the solved degrees in [lo, hi].
     """
-    _computable_class(node, group)
+    _computable_tag(node, group)
     witnesses: list[LesWitness] = []
     window = _explicit_eval(node, table, hi, witnesses if collect_witnesses else None)
     return window, [w for w in witnesses if w.degree >= lo]
@@ -540,7 +528,6 @@ def _class_c_window(
     witnesses: Optional[list[LesWitness]],
 ) -> DegreeWindow:
     """A class-C node's window up to ``top`` from its children's windows."""
-    oracles = tuple(_subpath(i, p) for i, w in enumerate(kids) for p in w.assumed_oracles)
     unsplit = isinstance(node, Blowup) and node.split is None
     # a non-split square's coker(phi_i) reaches one below its corners' floor
     lo = min(w.lo for w in kids) - (1 if unsplit else 0)
@@ -562,7 +549,7 @@ def _class_c_window(
                 values.append(summand_complement(total, corners[minus].value_at(d)))
             except ValueError as exc:
                 raise InconsistentDataError(f"inconsistent split data: {exc}") from None
-    return DegreeWindow(tuple(zip(degrees, values)), lo, top, oracles)
+    return DegreeWindow(tuple(zip(degrees, values)), lo, top)
 
 
 def _postorder(tree: Tree) -> list[tuple[Tree, list[Tree], bool]]:
@@ -573,7 +560,7 @@ def _postorder(tree: Tree) -> list[tuple[Tree, list[Tree], bool]]:
         nodes = []
 
         def listed(node: Tree, kids: list[Tree]) -> Tree:
-            nodes.append((node, kids, classify(node).tag == "B"))
+            nodes.append((node, kids, class_tag(node) == "B"))
             return node
 
         fold(tree, listed)
@@ -596,8 +583,8 @@ def _explicit_eval(
     class B by its rank (and a window if a class-C parent reads one), class
     C from its children's windows.  Nothing under a node that fails before
     reading its children is read, so on a tree the first failure is the one
-    a depth-first evaluation meets.  Oracle paths stay relative to their
-    node until the root.  ``witnesses`` collects a root square's witnesses.
+    a depth-first evaluation meets.  Only the root's window carries oracle
+    paths.  ``witnesses`` collects a root square's witnesses.
     """
     floor = _table_floor(table)
     nodes = _postorder(tree)
@@ -613,7 +600,7 @@ def _explicit_eval(
         for kid in kids:
             tops[id(kid)] = max(top, tops.get(id(kid), top))
 
-    ranks: dict[int, tuple[int, tuple[str, ...]]] = {}
+    ranks: dict[int, int] = {}
     windows: dict[int, DegreeWindow] = {}
     for node, kids, class_b in nodes:
         if id(node) not in tops:
@@ -621,21 +608,21 @@ def _explicit_eval(
         top = tops[id(node)]
         if class_b:
             try:
-                rank, oracles = ranks[id(node)] = _rank_of(node, [ranks[id(k)] for k in kids])
+                rank = ranks[id(node)] = _rank_of(node, [ranks[id(k)] for k in kids])
             except _MissingOracle as exc:
                 raise _missing_oracle(tree, exc.args[0]) from None
             values = tuple(
                 (d, tensor_with_free(table.group_at(d), rank)) for d in range(floor, top + 1)
             )
-            windows[id(node)] = DegreeWindow(values, floor, top, oracles)
+            windows[id(node)] = DegreeWindow(values, floor, top)
             continue
         refusal = _refusal(node)
         if refusal is not None:
             raise UnderdeterminedError(refusal)
         sink = witnesses if node is tree else None
         windows[id(node)] = _class_c_window(node, [windows[id(k)] for k in kids], top, sink)
-    root = windows[id(tree)]
-    return replace(root, assumed_oracles=tuple(_join(p) for p in root.assumed_oracles))
+    oracles = children_first(classify(tree).assumed_oracles)
+    return replace(windows[id(tree)], assumed_oracles=oracles)
 
 
 def compute_graded(
@@ -651,8 +638,7 @@ def compute_graded(
     coefficients, comparison maps on every non-split square, and an explicit
     degree window.
     """
-    cls = _computable_class(tree, group)
-    if cls.tag == "B":
+    if _computable_tag(tree, group) == "B":
         module = compute_degree0(tree, group)
         return GradedModuleValue(
             group=group,
@@ -843,9 +829,9 @@ def refute_membership_b(tree: Tree, group: GroupDatum = GroupDatum(0)) -> Option
     Returns None when no obstruction is found (in particular on class-B
     trees, where formality computes the shape directly).
     """
-    if classify(tree).tag == "B":
+    if class_tag(tree) == "B":
         return None
-    _computable_class(tree, group)
+    _computable_tag(tree, group)
     if not group.is_trivial:
         raise UnsupportedError("refutation runs with trivial group only")
     window = _explicit_eval(tree, builtin_table("unit"), -1)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations, product
-from math import comb
+from math import comb, factorial
 
 from .dsl import BundleDatum, FlagBundle, Point, SheafDatum, StratifiedDescent, Tree
 from .group_rep import GroupDatum
@@ -45,10 +45,6 @@ class FiniteSchubertDatum:
                 raise ValueError("j sequence must be nondecreasing")
             if j[i] > i:
                 raise ValueError(f"j_{i} = {j[i]} exceeds i")
-
-    @property
-    def jumps(self) -> tuple[int, ...]:
-        return tuple(self.j_seq[i] - self.j_seq[i - 1] for i in range(1, self.n + 1))
 
 
 def normalize_j(datum: FiniteSchubertDatum) -> FiniteSchubertDatum:
@@ -179,8 +175,6 @@ def affine_cell_count(datum: CoweightDatum) -> int:
     recursion (dominance pins every entry into [mu_n, mu_1]) and counts the
     distinct rearrangements of each.
     """
-    from math import factorial
-
     mu = datum.mu
     n = datum.n
     total = sum(mu)
@@ -205,12 +199,16 @@ def affine_cell_count(datum: CoweightDatum) -> int:
     while stack:
         shape, partial = stack.pop()
         k = len(shape)
-        if k == n:
-            if partial == total:
-                count += perms(shape)
+        if k == n:  # complete shapes are pushed with partial == total
+            count += perms(shape)
             continue
         hi = min(shape[-1] if shape else mu[0], prefix[k + 1] - partial)
         remaining = n - k - 1
+        if not remaining:
+            # the last entry is forced
+            if mu[-1] <= total - partial <= hi:
+                stack.append((shape + [total - partial], total))
+            continue
         for v in range(hi, mu[-1] - 1, -1):
             rest = total - partial - v
             if rest > remaining * v or rest < remaining * mu[-1]:
@@ -220,47 +218,29 @@ def affine_cell_count(datum: CoweightDatum) -> int:
 
 
 def affine_schubert_tree(datum: CoweightDatum, group: GroupDatum) -> Tree:
-    """Demazure convolution tower for the affine Schubert variety.
+    """Demazure convolution tower for the affine Schubert variety, built
+    bottom-up over the columns of the normalized partition.
 
-    Length zero is the point, length one an honest Grassmannian; otherwise
-    an honest Grassmannian bundle over the shorter tree, descending onto
+    The last column is an honest Grassmannian; each earlier one an honest
+    Grassmannian bundle over the tower of the later columns, descending onto
     the locus with the fixed-lattice count as rank oracle.  The determinant
     twist leaves everything unchanged and is normalized away first.
     """
     _require_torus(group, datum.n)
-    ks, _ = minuscule_decomposition(datum)
-    if not ks:
-        return Point()
-    if len(ks) == 1:
-        return FlagBundle(Point(), BundleDatum(datum.n), (ks[0],))
-    shorter = CoweightDatum(
-        datum.n,
-        _subtract_fundamental(datum, ks[0]),
-    )
-    cover = FlagBundle(
-        affine_schubert_tree(shorter, group), BundleDatum(datum.n), (ks[0],)
-    )
-    # the presenting bundle is the lattice quotient of length |normalized mu|
-    m = max(0, -datum.mu[-1])
-    quotient_rank = sum(datum.mu) + m * datum.n
-    return StratifiedDescent(
-        total_space=cover,
-        sheaf=SheafDatum(
-            generic_rank=ks[0],
-            presentation_ranks=(quotient_rank, quotient_rank),
-        ),
-        d_vec=(ks[0],),
-        oracle_rank=affine_cell_count(datum),
-    )
-
-
-def _subtract_fundamental(datum: CoweightDatum, k: int) -> tuple[int, ...]:
-    """Remove the largest column from the normalized partition, keeping the
-    original determinant twist."""
-    m = -datum.mu[-1] if datum.mu[-1] < 0 else 0
+    ks, m = minuscule_decomposition(datum)
     shifted = [a + m for a in datum.mu]
-    out = [a - 1 if i < k else a for i, a in enumerate(shifted)]
-    return tuple(a - m for a in out)
+    tree: Tree = Point()
+    for step in range(len(ks) - 1, -1, -1):
+        tree = FlagBundle(tree, BundleDatum(datum.n), (ks[step],))
+        if step == len(ks) - 1:
+            continue
+        # the normalized coweight of the columns from this step on; its
+        # presenting bundle is the lattice quotient of length |level|
+        level = [max(0, a - step) for a in shifted]
+        sheaf = SheafDatum(generic_rank=ks[step], presentation_ranks=(sum(level), sum(level)))
+        oracle = affine_cell_count(CoweightDatum(datum.n, tuple(a - m for a in level)))
+        tree = StratifiedDescent(tree, sheaf, (ks[step],), oracle)
+    return tree
 
 
 def demazure_tower_rank(datum: CoweightDatum) -> int:

@@ -554,3 +554,77 @@ def tokenize_line_reference(text: str, line: int) -> list[Token]:
         raise ScriptError(f"unexpected character {ch!r}", line, col)
     out.append(Token("END", "", line, len(text) + 1))
     return out
+
+
+# ---------------------------------------------------------------------------
+# the recursive affine tower construction the bottom-up loop replaced
+
+
+def affine_schubert_tree_recursive(datum, group: GroupDatum) -> Tree:
+    """One recursion per minuscule step: a Grassmannian bundle over the tree
+    of the coweight with its largest column removed, descending with the
+    fixed-lattice count as oracle."""
+    from simploc.schubert import (
+        CoweightDatum,
+        _require_torus,
+        affine_cell_count,
+        minuscule_decomposition,
+    )
+
+    _require_torus(group, datum.n)
+    ks, _ = minuscule_decomposition(datum)
+    if not ks:
+        return Point()
+    if len(ks) == 1:
+        return FlagBundle(Point(), BundleDatum(datum.n), (ks[0],))
+    m = -datum.mu[-1] if datum.mu[-1] < 0 else 0
+    shifted = [a + m for a in datum.mu]
+    shorter = CoweightDatum(
+        datum.n, tuple((a - 1 if i < ks[0] else a) - m for i, a in enumerate(shifted))
+    )
+    below = affine_schubert_tree_recursive(shorter, group)
+    cover = FlagBundle(below, BundleDatum(datum.n), (ks[0],))
+    quotient_rank = sum(datum.mu) + m * datum.n
+    return StratifiedDescent(
+        total_space=cover,
+        sheaf=SheafDatum(generic_rank=ks[0], presentation_ranks=(quotient_rank, quotient_rank)),
+        d_vec=(ks[0],),
+        oracle_rank=affine_cell_count(datum),
+    )
+
+
+# ---------------------------------------------------------------------------
+# torsion canonicalization by trial division, the routine the coprime-base
+# refinement replaced
+
+
+def canonical_chain_reference(factors) -> tuple[int, ...]:
+    """Split every factor into prime powers by trial division, then stack
+    each prime's powers from the largest down."""
+    by_prime: dict[int, list[int]] = {}
+    for f in factors:
+        n = abs(f)
+        if n in (0, 1):
+            continue
+        d = 2
+        while d * d <= n:
+            if n % d == 0:
+                e = 0
+                while n % d == 0:
+                    n //= d
+                    e += 1
+                by_prime.setdefault(d, []).append(d**e)
+            d += 1
+        if n > 1:
+            by_prime.setdefault(n, []).append(n)
+    for powers in by_prime.values():
+        powers.sort(reverse=True)
+    depth = max((len(p) for p in by_prime.values()), default=0)
+    chain = []
+    for level in range(depth - 1, -1, -1):
+        val = 1
+        for powers in by_prime.values():
+            if level < len(powers):
+                val *= powers[level]
+        chain.append(val)
+    return tuple(chain)
