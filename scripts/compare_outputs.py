@@ -1,0 +1,94 @@
+#!/usr/bin/env python3
+"""Compare simploc's output between two checkouts on a fixed corpus.
+
+    python3 scripts/compare_outputs.py OLD_ROOT NEW_ROOT
+
+Runs ``run`` and ``check`` in ``text`` and ``records`` format on every
+script of the corpus with each checkout's ``src/``, and prints one line per
+difference in stdout, stderr or exit code.  Exits 0 when there is none.
+The corpus is taken from NEW_ROOT: the shipped scripts, every ``.slc``
+under ``tests/golden/``, and every script that ``bench/workloads.generate``
+makes at seed 7 (``bench/`` is imported, never written).
+"""
+
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+MODES = [(command, fmt) for command in ("run", "check") for fmt in ("text", "records")]
+
+# run in one process per checkout: reads [[script, command, fmt], ...] on
+# stdin, writes [[stdout, stderr, exit code], ...] on stdout
+RUNNER = """
+import contextlib, io, json, sys, traceback
+from simploc.cli import main
+results = []
+for script, command, fmt in json.load(sys.stdin):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main([command, "--format", fmt, script])
+        except Exception as exc:
+            traceback.print_exception(exc, file=err)
+            code = "uncaught " + type(exc).__name__
+    results.append([out.getvalue(), err.getvalue(), code])
+json.dump(results, sys.stdout)
+"""
+
+
+def corpus(root: Path, work: Path) -> dict[str, str]:
+    """Each script's name for the report, mapped to its path."""
+    shipped = sorted(root.glob("scripts/*.slc")) + sorted((root / "tests/golden").rglob("*.slc"))
+    scripts = {str(path.relative_to(root)): str(path) for path in shipped}
+    sys.path.insert(0, str(root / "bench"))
+    import workloads
+
+    for workload in workloads.WORKLOADS:
+        for i, case in enumerate(workloads.generate(workload, 7)):
+            if case.shipped is not None:
+                continue
+            directory = work / workload / f"{i:03d}"
+            directory.mkdir(parents=True)
+            for name, text in {f"{case.name}.slc": case.text, **case.files}.items():
+                (directory / name).write_text(text)
+            scripts[f"{workload}/{i:03d}/{case.name}.slc"] = str(directory / f"{case.name}.slc")
+    return scripts
+
+
+def outputs(root: Path, jobs: list[list[str]]) -> list[list]:
+    done = subprocess.run(
+        [sys.executable, "-c", RUNNER],
+        input=json.dumps(jobs),
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=str(root / "src")),
+        check=True,
+    )
+    return json.loads(done.stdout)
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 2:
+        print(__doc__.strip(), file=sys.stderr)
+        return 2
+    old, new = (Path(arg).resolve() for arg in argv)
+    with tempfile.TemporaryDirectory() as work:
+        scripts = corpus(new, Path(work))
+        jobs = [[path, *mode] for path in scripts.values() for mode in MODES]
+        before, after = outputs(old, jobs), outputs(new, jobs)
+    labels = [(name, *mode) for name in scripts for mode in MODES]
+    differences = 0
+    for (name, command, fmt), was, now in zip(labels, before, after):
+        for part, a, b in zip(("stdout", "stderr", "exit code"), was, now):
+            if a != b:
+                differences += 1
+                print(f"{name} [{command} --format {fmt}]: {part} differs")
+    print(f"{len(jobs)} outputs compared, {differences} differences")
+    return 1 if differences else 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main(sys.argv[1:]))

@@ -146,9 +146,8 @@ def tensor_with_free(group: FgAbGroup, rank: int) -> FgAbGroup:
         raise ValueError("rank must be non-negative")
     if rank == 0 or group.is_zero:
         return ZERO_GROUP
-    return FgAbGroup(
-        group.free_rank * rank, group.invariant_factors * rank, group.rational
-    )
+    torsion = group.invariant_factors * rank if group.invariant_factors else ()
+    return FgAbGroup(group.free_rank * rank, torsion, group.rational)
 
 
 def rationalize(group: FgAbGroup) -> FgAbGroup:

@@ -12,7 +12,7 @@ vanishing upgrades to per-degree isomorphisms on class B.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 from math import comb
 from typing import NamedTuple, Optional, Union
@@ -310,8 +310,8 @@ def ring_degree0(tree: Tree, group: GroupDatum) -> RingPresentation:
 
 @dataclass(frozen=True)
 class DegreeWindow:
-    """Exact degreewise values on [lo, hi]; degrees below lo are proven zero.
-    values is dense and sorted: one (degree, group) pair per degree lo..hi."""
+    """Exact degreewise values on [lo, hi], dense and sorted; lo is the lowest
+    nonzero degree (hi if none), degrees below it are zero."""
 
     values: tuple[tuple[int, FgAbGroup], ...]
     lo: int
@@ -368,16 +368,6 @@ def formal_value_of_table(table: CoefficientTable, group: GroupDatum) -> GradedM
 # --- the degreewise solver (trivial group, class C) ------------------------
 
 
-def _table_floor(table: CoefficientTable) -> int:
-    floor = table.min_degree
-    if floor is None:
-        raise UnderdeterminedError(
-            f"table {table.name!r} is unbounded below; degreewise solving needs "
-            "bounded-below coefficients"
-        )
-    return floor
-
-
 @dataclass(frozen=True)
 class LesWitness:
     """Matrices realizing one solved degree of a blowup exact sequence."""
@@ -420,11 +410,11 @@ def solve_blowup_les(
     """Solve the unknown corner of a non-split square degree by degree.
 
     Assembles ... -> E_i(X) -> E_i(Y) + E_i(Z) -> E_i(E) -> E_{i-1}(X) -> ...
-    and reads the unknown X off as coker(phi_{i+1}) + ker(phi_i), descending
-    until the known corners vanish; below that the unknown is forced to zero.
-    Only the base corner can be solved for: the stored comparison matrices
-    present the restriction map out of the cover and center.  Witnesses
-    cover the solved degrees in [lo, hi].
+    and reads the unknown X off as coker(phi_{i+1}) + ker(phi_i).  Only the
+    base corner can be solved for: the stored comparison matrices present
+    the restriction map out of the cover and center.  Witnesses cover the
+    square's support range at or above ``lo``; outside it X and all corners
+    are zero, so a witness there would be three empty matrices.
     """
     _computable_tag(node, group)
     witnesses: list[LesWitness] = []
@@ -434,24 +424,23 @@ def solve_blowup_les(
 
 def _les_values(
     node: Blowup,
-    corners: dict[str, DegreeWindow],
-    lo: int,
+    corners: dict[str, dict[int, FgAbGroup]],
     top: int,
     witnesses: Optional[list[LesWitness]],
-) -> list[FgAbGroup]:
-    """The base corner of a non-split square in degrees lo..top; each phi_i
-    is built once and read as "above" (degree i - 1) and "here" (degree i)."""
-    rational_seen = {
-        g.rational for w in corners.values() for d, g in w.values if d <= top + 1 and not g.is_zero
-    }
+) -> dict[int, FgAbGroup]:
+    """The nonzero degrees of a non-split square's base corner up to ``top``,
+    solved where a corner is nonzero in degree i or i + 1 (else X_i is 0);
+    each phi_i is built once and read as "above" and as "here"."""
+    live = [d for c in corners.values() for d in c if d <= top + 1]
+    rational_seen = {g.rational for c in corners.values() for d, g in c.items() if d <= top + 1}
     if len(rational_seen) > 1:
         raise InconsistentDataError("corners mix integral and rational coefficients")
     rational = rational_seen.pop() if rational_seen else False
 
     def phi(degree: int) -> _Phi:
-        src = _free_rank_of(corners["Y"].value_at(degree), "cover corner", degree)
-        src += _free_rank_of(corners["Z"].value_at(degree), "center corner", degree)
-        tgt = _free_rank_of(corners["E"].value_at(degree), "exceptional corner", degree)
+        src = _free_rank_of(corners["Y"].get(degree, ZERO_GROUP), "cover corner", degree)
+        src += _free_rank_of(corners["Z"].get(degree, ZERO_GROUP), "center corner", degree)
+        tgt = _free_rank_of(corners["E"].get(degree, ZERO_GROUP), "exceptional corner", degree)
         if src == 0 or tgt == 0:
             return _Phi(((0,) * src,) * tgt, src, tgt, None)
         matrix = node.map_at(degree)
@@ -463,9 +452,12 @@ def _les_values(
             raise InconsistentDataError(f"comparison map in degree {degree} must be {tgt} x {src}")
         return _Phi(matrix, src, tgt, snf([list(r) for r in matrix]))
 
-    values: list[FgAbGroup] = []
-    above = phi(top + 1)
-    for degree in range(top, lo - 1, -1):
+    values: dict[int, FgAbGroup] = {}
+    if not live:
+        return values
+    start = min(top, max(live))
+    above = phi(start + 1)
+    for degree in range(start, min(live) - 2, -1):
         here = phi(degree)
         if not above.tgt:
             coker = ZERO_GROUP
@@ -477,11 +469,13 @@ def _les_values(
                 coker = FgAbGroup(coker.free_rank, (), True)
         ker_rank = here.form.kernel_rank() if here.form is not None else here.src
         kernel = FgAbGroup(ker_rank, (), rational) if ker_rank else ZERO_GROUP
-        values.append(direct_sum(coker, kernel))
+        value = direct_sum(coker, kernel)
+        if not value.is_zero:
+            values[degree] = value
         if witnesses is not None:
             witnesses.append(_build_witness(degree, here, above, coker, ker_rank))
         above = here
-    return values[::-1]
+    return values
 
 
 def _build_witness(
@@ -521,35 +515,34 @@ def _refusal(node: Tree) -> Optional[str]:
     return None
 
 
-def _class_c_window(
+def _class_c_values(
     node: Tree,
-    kids: list[DegreeWindow],
+    kids: list[dict[int, FgAbGroup]],
     top: int,
     witnesses: Optional[list[LesWitness]],
-) -> DegreeWindow:
-    """A class-C node's window up to ``top`` from its children's windows."""
-    unsplit = isinstance(node, Blowup) and node.split is None
-    # a non-split square's coker(phi_i) reaches one below its corners' floor
-    lo = min(w.lo for w in kids) - (1 if unsplit else 0)
-    degrees = range(lo, top + 1)
-    if unsplit:
-        values = _les_values(node, dict(zip(node.known_labels, kids)), lo, top, witnesses)
-    elif isinstance(node, Disjoint):
-        values = [direct_sum(*(w.value_at(d) for w in kids)) for d in degrees]
-    elif isinstance(node, FlagBundle):
+) -> dict[int, FgAbGroup]:
+    """A class-C node's nonzero values up to ``top`` from its children's."""
+    if isinstance(node, Blowup) and node.split is None:
+        return _les_values(node, dict(zip(node.known_labels, kids)), top, witnesses)
+    degrees = sorted({d for kid in kids for d in kid if d <= top})
+    if isinstance(node, Disjoint):
+        return {d: direct_sum(*(kid.get(d, ZERO_GROUP) for kid in kids)) for d in degrees}
+    if isinstance(node, FlagBundle):
         pieces = sod_count(node.bundle.rank, node.d_vec)
-        values = [tensor_with_free(kids[0].value_at(d), pieces) for d in degrees]
-    else:  # a split square
-        corners = dict(zip(node.known_labels, kids))
-        (plus, other), minus = _SPLIT_SQUARE[node.unknown_corner]
-        values = []
-        for d in degrees:
-            total = direct_sum(corners[plus].value_at(d), corners[other].value_at(d))
-            try:
-                values.append(summand_complement(total, corners[minus].value_at(d)))
-            except ValueError as exc:
-                raise InconsistentDataError(f"inconsistent split data: {exc}") from None
-    return DegreeWindow(tuple(zip(degrees, values)), lo, top)
+        return {d: tensor_with_free(kids[0][d], pieces) for d in degrees}
+    # a split square
+    corners = dict(zip(node.known_labels, kids))
+    (plus, other), minus = _SPLIT_SQUARE[node.unknown_corner]
+    values = {}
+    for d in degrees:
+        total = direct_sum(corners[plus].get(d, ZERO_GROUP), corners[other].get(d, ZERO_GROUP))
+        try:
+            value = summand_complement(total, corners[minus].get(d, ZERO_GROUP))
+        except ValueError as exc:
+            raise InconsistentDataError(f"inconsistent split data: {exc}") from None
+        if not value.is_zero:
+            values[d] = value
+    return values
 
 
 def _postorder(tree: Tree) -> list[tuple[Tree, list[Tree], bool]]:
@@ -579,14 +572,19 @@ def _explicit_eval(
     Three passes over the distinct nodes, none recursive.  One fold lists
     them in post-order with their children.  Backwards, each node gets the
     largest top degree its class-C parents read it to (a parent's top, plus
-    one under a non-split square).  Forwards, each node is solved once:
-    class B by its rank (and a window if a class-C parent reads one), class
-    C from its children's windows.  Nothing under a node that fails before
-    reading its children is read, so on a tree the first failure is the one
-    a depth-first evaluation meets.  Only the root's window carries oracle
-    paths.  ``witnesses`` collects a root square's witnesses.
+    one under a non-split square).  Forwards, each node is solved once into
+    a finitely supported map of its nonzero degrees up to its top: class B
+    from its rank and the table's rows, class C from its children's maps.
+    Nothing under a node that fails before reading its children is read, so
+    on a tree the first failure is the one a depth-first evaluation meets.
+    Only the root becomes a dense window, with oracle paths.  ``witnesses``
+    collects a root square's witnesses.
     """
-    floor = _table_floor(table)
+    if table.min_degree is None:
+        raise UnderdeterminedError(
+            f"table {table.name!r} is unbounded below; degreewise solving needs "
+            "bounded-below coefficients"
+        )
     nodes = _postorder(tree)
     # the top degree each node is read to: the largest its parents ask for
     tops = {id(tree): hi}
@@ -594,14 +592,14 @@ def _explicit_eval(
         if id(node) not in tops or not class_b and _refusal(node) is not None:
             continue
         if class_b:
-            top = floor - 1  # class-B parents read ranks only: an empty window
+            top = table.min_degree - 1  # class-B parents read ranks only
         else:
             top = tops[id(node)] + (1 if isinstance(node, Blowup) and node.split is None else 0)
         for kid in kids:
             tops[id(kid)] = max(top, tops.get(id(kid), top))
 
     ranks: dict[int, int] = {}
-    windows: dict[int, DegreeWindow] = {}
+    values: dict[int, dict[int, FgAbGroup]] = {}
     for node, kids, class_b in nodes:
         if id(node) not in tops:
             continue
@@ -611,18 +609,19 @@ def _explicit_eval(
                 rank = ranks[id(node)] = _rank_of(node, [ranks[id(k)] for k in kids])
             except _MissingOracle as exc:
                 raise _missing_oracle(tree, exc.args[0]) from None
-            values = tuple(
-                (d, tensor_with_free(table.group_at(d), rank)) for d in range(floor, top + 1)
-            )
-            windows[id(node)] = DegreeWindow(values, floor, top)
+            values[id(node)] = {
+                d: tensor_with_free(g, rank) for d, g in table.degree_groups if rank and d <= top
+            }
             continue
         refusal = _refusal(node)
         if refusal is not None:
             raise UnderdeterminedError(refusal)
         sink = witnesses if node is tree else None
-        windows[id(node)] = _class_c_window(node, [windows[id(k)] for k in kids], top, sink)
-    oracles = children_first(classify(tree).assumed_oracles)
-    return replace(windows[id(tree)], assumed_oracles=oracles)
+        values[id(node)] = _class_c_values(node, [values[id(k)] for k in kids], top, sink)
+    root = values[id(tree)]
+    lo = min(root, default=hi)
+    dense = tuple((d, root.get(d, ZERO_GROUP)) for d in range(lo, hi + 1))
+    return DegreeWindow(dense, lo, hi, children_first(classify(tree).assumed_oracles))
 
 
 def compute_graded(
