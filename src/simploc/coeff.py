@@ -100,6 +100,8 @@ class FgAbGroup:
         torsion = self.invariant_factors if not self.rational else ()
         factors = _canonical_chain(torsion) if torsion else ()
         object.__setattr__(self, "invariant_factors", factors)
+        # there is one zero group: a cancelled Q-space is the integral 0
+        object.__setattr__(self, "rational", self.rational and self.free_rank > 0)
 
     @property
     def is_zero(self) -> bool:

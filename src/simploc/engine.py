@@ -428,9 +428,10 @@ def _les_values(
     top: int,
     witnesses: Optional[list[LesWitness]],
 ) -> dict[int, FgAbGroup]:
-    """The nonzero degrees of a non-split square's base corner up to ``top``,
-    solved where a corner is nonzero in degree i or i + 1 (else X_i is 0);
-    each phi_i is built once and read as "above" and as "here"."""
+    """A non-split square's base corner up to ``top`` from its corners' maps
+    of nonzero degrees, solved where a corner is nonzero in degree i or
+    i + 1 (else X_i is 0); each phi_i is built once, read as "above" and
+    as "here"."""
     live = [d for c in corners.values() for d in c if d <= top + 1]
     rational_seen = {g.rational for c in corners.values() for d, g in c.items() if d <= top + 1}
     if len(rational_seen) > 1:
@@ -469,9 +470,7 @@ def _les_values(
                 coker = FgAbGroup(coker.free_rank, (), True)
         ker_rank = here.form.kernel_rank() if here.form is not None else here.src
         kernel = FgAbGroup(ker_rank, (), rational) if ker_rank else ZERO_GROUP
-        value = direct_sum(coker, kernel)
-        if not value.is_zero:
-            values[degree] = value
+        values[degree] = direct_sum(coker, kernel)
         if witnesses is not None:
             witnesses.append(_build_witness(degree, here, above, coker, ker_rank))
         above = here
@@ -521,7 +520,7 @@ def _class_c_values(
     top: int,
     witnesses: Optional[list[LesWitness]],
 ) -> dict[int, FgAbGroup]:
-    """A class-C node's nonzero values up to ``top`` from its children's."""
+    """A class-C node's values up to ``top`` from its children's maps."""
     if isinstance(node, Blowup) and node.split is None:
         return _les_values(node, dict(zip(node.known_labels, kids)), top, witnesses)
     degrees = sorted({d for kid in kids for d in kid if d <= top})
@@ -537,11 +536,9 @@ def _class_c_values(
     for d in degrees:
         total = direct_sum(corners[plus].get(d, ZERO_GROUP), corners[other].get(d, ZERO_GROUP))
         try:
-            value = summand_complement(total, corners[minus].get(d, ZERO_GROUP))
+            values[d] = summand_complement(total, corners[minus].get(d, ZERO_GROUP))
         except ValueError as exc:
             raise InconsistentDataError(f"inconsistent split data: {exc}") from None
-        if not value.is_zero:
-            values[d] = value
     return values
 
 
@@ -609,15 +606,15 @@ def _explicit_eval(
                 rank = ranks[id(node)] = _rank_of(node, [ranks[id(k)] for k in kids])
             except _MissingOracle as exc:
                 raise _missing_oracle(tree, exc.args[0]) from None
-            values[id(node)] = {
-                d: tensor_with_free(g, rank) for d, g in table.degree_groups if rank and d <= top
-            }
-            continue
-        refusal = _refusal(node)
-        if refusal is not None:
-            raise UnderdeterminedError(refusal)
-        sink = witnesses if node is tree else None
-        values[id(node)] = _class_c_values(node, [values[id(k)] for k in kids], top, sink)
+            value = {d: tensor_with_free(g, rank) for d, g in table.degree_groups if d <= top}
+        else:
+            refusal = _refusal(node)
+            if refusal is not None:
+                raise UnderdeterminedError(refusal)
+            sink = witnesses if node is tree else None
+            value = _class_c_values(node, [values[id(k)] for k in kids], top, sink)
+        # the one place a node's map keeps its nonzero degrees only
+        values[id(node)] = {d: g for d, g in value.items() if not g.is_zero}
     root = values[id(tree)]
     lo = min(root, default=hi)
     dense = tuple((d, root.get(d, ZERO_GROUP)) for d in range(lo, hi + 1))

@@ -11,8 +11,8 @@ import pytest
 
 from simploc import engine
 from simploc.cli import EXIT_OK, main
-from simploc.coeff import builtin_table, parse_table_file
-from simploc.dsl import classify, example_library, validate, walk
+from simploc.coeff import ZERO_GROUP, FgAbGroup, builtin_table, parse_table_file
+from simploc.dsl import Blowup, Disjoint, Point, classify, example_library, validate, walk
 from simploc.engine import compute_graded, refute_membership_b
 from simploc.group_rep import GroupDatum
 
@@ -116,3 +116,53 @@ def test_deep_unshared_trees_on_gapped_tables_match_the_per_path_reference():
         outcomes.append((reference[0], hi > top))
     assert len(outcomes) >= 200
     assert {above for kind, above in outcomes if kind == "ok"} == {False, True}
+
+
+def test_zero_rows_are_outside_the_support():
+    node = example_library("node")
+    for text in ("0 1 Q\n1 0\n", "0 1 Q\n1 0 Q\n", "-3 0\n0 1 Q\n"):
+        table = parse_table_file("t", text)
+        for lo, hi in ((0, 0), (-3, 2)):
+            engine_side = _outcome(lambda: compute_graded(node, TRIV, table, degrees=(lo, hi)), lo, hi)
+            assert engine_side == _outcome(lambda: explicit_window_by_path(node, table, lo, hi), lo, hi)
+            assert dict(zip(range(lo - 6, hi + 1), engine_side[1]))[0] == FgAbGroup(2, (), True)
+        # the root starts at its lowest nonzero degree, not at a zero row
+        assert compute_graded(node, TRIV, table, degrees=(-5, 1)).window.lo == -1
+
+
+def test_a_cancelled_rational_corner_is_the_zero_group():
+    assert FgAbGroup(0, (), True) == ZERO_GROUP and FgAbGroup(0, (2,), True) == ZERO_GROUP
+    node = example_library("node")
+    # X = Y + Z - E cancels node's Q and Q^2 in degrees -1 and 0
+    root = Blowup((("Y", node), ("Z", Point()), ("E", Disjoint((node, Point())))), "X", "retraction")
+    table = builtin_table("rational_deg0")
+    engine_side = _outcome(lambda: compute_graded(root, TRIV, table, degrees=(-3, 1)), -3, 1)
+    assert engine_side == _outcome(lambda: explicit_window_by_path(root, table, -3, 1), -3, 1)
+    assert engine_side[1] == [ZERO_GROUP] * 11
+    assert compute_graded(root, TRIV, table, degrees=(-3, 1)).window.lo == 1
+
+
+def rational_table(rng):
+    """Q or Q^2 in degree 0 and one or two rational rows among -1, 1, 2."""
+    rows = [0] + rng.sample((-1, 1, 2), rng.randint(1, 2))
+    lines = [f"{d} {rng.randint(0 if d else 1, 2)} Q" for d in sorted(rows)]
+    return parse_table_file("rational", "\n".join(lines) + "\n")
+
+
+def test_trees_over_rational_tables_match_the_per_path_reference():
+    # split squares over Q cancel whole corners, leaving zero Q-spaces
+    rng = random.Random(67)
+    solved = compared = 0
+    while solved < 60:
+        table = rational_table(rng)
+        tree = random_class_c_tree(rng, table, rng.randint(2, 4))
+        if validate(tree, TRIV) or classify(tree).tag != "C":
+            continue
+        lo = rng.randint(-4, 1)
+        hi = lo + rng.randint(0, 3)
+        engine_side = _outcome(lambda: compute_graded(tree, TRIV, table, degrees=(lo, hi)), lo, hi)
+        reference = _outcome(lambda: explicit_window_by_path(tree, table, lo, hi), lo, hi)
+        assert engine_side == reference
+        solved += reference[0] == "ok"
+        compared += 1
+    assert compared >= solved
