@@ -22,9 +22,9 @@ import argparse
 import json
 import sys
 from pathlib import Path
-from typing import Optional, Union
+from typing import Hashable, Iterable, Optional, Union
 
-from .coeff import CoefficientTable, FgAbGroup, builtin_table, direct_sum, parse_table_file
+from .coeff import ZERO_GROUP, CoefficientTable, FgAbGroup, builtin_table, direct_sum, parse_table_file
 from .dsl import MembershipClass, Tree, Violation, classify, validate_names
 from .engine import (
     EngineError,
@@ -140,6 +140,31 @@ class _Output:
             fields["schema"] = RECORD_SCHEMA
             self.lines.append(json.dumps(fields, sort_keys=True))
 
+    def degree_rows(
+        self, lead: str, command: str, rows: Iterable[tuple[int, Hashable]], text_of, fields_of
+    ) -> None:
+        """One line per ``(degree, row)`` of a degree table.  Each distinct row
+        is rendered once, in the requested format only: as ``lead``, the
+        degree and ``text_of(row)``, or as the record of ``fields_of(row)``
+        with command and degree.  Every field sorts after "degree", so a
+        record is a fixed head, the degree and the row's rendered tail."""
+        tails: dict[Hashable, str] = {}
+        if self.fmt == "text":
+            head, render = lead, text_of
+        else:
+            head = '{"command": ' + json.dumps(command) + ', "degree": '
+
+            def render(row) -> str:
+                fields = {**fields_of(row), "schema": RECORD_SCHEMA}
+                assert min(fields) > "degree"
+                return ", " + json.dumps(fields, sort_keys=True)[1:]
+
+        for degree, row in rows:
+            tail = tails.get(row)
+            if tail is None:
+                tail = tails[row] = render(row)
+            self.lines.append(head + str(degree) + tail)
+
     def render(self) -> str:
         return "\n".join(self.lines) + ("\n" if self.lines else "")
 
@@ -206,10 +231,16 @@ def run_script(script: Script, base_dir: Path, fmt: str = "text") -> tuple[str, 
         out.record(command="error", kind="underdetermined", message=str(exc))
         return out.render(), EXIT_UNDERDETERMINED
     except (HypothesisError, UnsupportedError, InconsistentDataError, LookupError, ValueError) as exc:
-        out.text(f"error: {exc}")
-        out.record(command="error", kind="validation", message=str(exc))
-        return out.render(), EXIT_VALIDATION
-    return out.render(), EXIT_OK
+        message = str(exc)
+    except (OverflowError, MemoryError, RecursionError) as exc:
+        # a value past what this machine can hold or build, not a bad script
+        detail = ": ".join(filter(None, (type(exc).__name__, str(exc))))
+        message = f"value too large to compute ({detail})"
+    else:
+        return out.render(), EXIT_OK
+    out.text(f"error: {message}")
+    out.record(command="error", kind="validation", message=message)
+    return out.render(), EXIT_VALIDATION
 
 
 def _run_classify(
@@ -258,19 +289,14 @@ def _run_compute(
     cls = classify(tree)
     value = compute_graded(tree, group, table, degrees=(cmd.lo, cmd.hi))
     flags = list(value.provenance) + [f"oracle:{p}" for p in value.assumed_oracles]
-    sorted_flags = sorted(flags)
     out.text(f"{cmd.target} [class {cls.describe()}; table {table.name}]")
-    for degree in range(cmd.lo, cmd.hi + 1):
-        g = value.value_at(degree)
-        out.text(f"  degree {degree}: {g.describe()}")
-        out.record(
-            command="compute",
-            target=cmd.target,
-            table=table.name,
-            degree=degree,
-            flags=sorted_flags,
-            **_group_fields(g),
-        )
+    out.degree_rows(
+        "  degree ",
+        "compute",
+        ((degree, value.value_at(degree)) for degree in range(cmd.lo, cmd.hi + 1)),
+        lambda g: f": {g.describe()}",
+        lambda g: dict(target=cmd.target, table=table.name, flags=sorted(flags), **_group_fields(g)),
+    )
     for flag in flags:
         out.text(f"  provenance: {flag}")
 
@@ -304,6 +330,14 @@ def _run_verdict(
     )
 
 
+# the rule behind the K column, by the sign of the degree
+_REPORT_RULES = {
+    1: "split decomposition",
+    0: "degree-zero trace isomorphism",
+    -1: "class-B vanishing below degree zero",
+}
+
+
 def _run_report(
     out: _Output,
     cmd: ReportCmd,
@@ -330,30 +364,28 @@ def _run_report(
         f"{cmd.target} report [class B; kh={kh_table.name}; hcminus={hcm_table.name}]"
     )
     out.text("  degree | K | KH | HC^-")
-    for degree in range(cmd.lo, cmd.hi + 1):
-        kh_g = kh_value.value_at(degree)
-        hcm_g = hcm_table.group_at(degree)
-        if degree >= 1:
-            k_g = direct_sum(kh_g, hcm_g)
-            rule = "split decomposition"
-        elif degree == 0:
-            k_g = kh_g
-            rule = "degree-zero trace isomorphism"
-        else:
-            k_g = FgAbGroup(0)
-            rule = "class-B vanishing below degree zero"
-        out.text(
-            f"  {degree} | {k_g.describe()} | {kh_g.describe()} | {hcm_g.describe()}"
-        )
-        out.record(
-            command="report",
+
+    def row(degree: int) -> tuple[int, tuple]:
+        # the rule of a degree depends on its sign only
+        sign = (degree > 0) - (degree < 0)
+        return degree, (sign, kh_value.value_at(degree), hcm_table.group_at(degree))
+
+    def columns(row: tuple) -> tuple[FgAbGroup, FgAbGroup, FgAbGroup]:
+        sign, kh_g, hcm_g = row
+        k_g = direct_sum(kh_g, hcm_g) if sign > 0 else kh_g if sign == 0 else ZERO_GROUP
+        return k_g, kh_g, hcm_g
+
+    out.degree_rows(
+        "  ",
+        "report",
+        map(row, range(cmd.lo, cmd.hi + 1)),
+        lambda row: "".join(f" | {g.describe()}" for g in columns(row)),
+        lambda row: dict(
+            zip(("k", "kh", "hcminus"), map(_group_fields, columns(row))),
             target=cmd.target,
-            degree=degree,
-            k=_group_fields(k_g),
-            kh=_group_fields(kh_g),
-            hcminus=_group_fields(hcm_g),
-            rule=rule,
-        )
+            rule=_REPORT_RULES[row[0]],
+        ),
+    )
     if isinstance(split, Verdict):
         for h in split.hypotheses:
             out.text(f"  hypothesis: {h}")

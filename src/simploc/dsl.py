@@ -12,7 +12,6 @@ A C tag means "B not established by this tree", not "provably not in B".
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import inf
 from typing import NamedTuple, Optional, Union
 
 from .group_rep import GroupDatum
@@ -234,10 +233,17 @@ def _listed(tree: Tree, count, own):
 
 def children_first(paths: tuple[str, ...]) -> tuple[str, ...]:
     """Preorder oracle paths reordered so that each node follows the nodes
-    below it: the order in which a post-order fold consumes their ranks."""
-    return tuple(
-        sorted(paths, key=lambda p: [inf] if p == _ROOT else [*map(int, p.split("/")), inf])
-    )
+    below it: the order in which a post-order fold consumes their ranks.
+    In preorder a node's descendants follow it directly, so a stack of the
+    open ancestors (each with the prefix of the paths below it) suffices."""
+    out: list[str] = []
+    ancestors: list[tuple[str, str]] = []
+    for path in paths:
+        while ancestors and not path.startswith(ancestors[-1][1]):
+            out.append(ancestors.pop()[0])
+        ancestors.append((path, "" if path == _ROOT else path + "/"))
+    out.extend(path for path, _ in reversed(ancestors))
+    return tuple(out)
 
 
 def first_path(tree: Tree, target: Tree) -> str:

@@ -346,10 +346,20 @@ class GradedModuleValue:
     provenance: tuple[str, ...] = ()
     assumed_oracles: tuple[str, ...] = ()
 
+    @cached_property
+    def _tensored(self) -> dict[FgAbGroup, FgAbGroup]:
+        """Formal shape: table group -> its tensor with Z^rank, filled as read
+        (a periodic table has a handful of distinct rows)."""
+        return {}
+
     def value_at(self, degree: int) -> FgAbGroup:
         if self.shape == "formal":
             assert self.degree0 is not None and self.table is not None
-            return tensor_with_free(self.table.group_at(degree), self.degree0.rank)
+            g = self.table.group_at(degree)
+            value = self._tensored.get(g)
+            if value is None:
+                value = self._tensored[g] = tensor_with_free(g, self.degree0.rank)
+            return value
         assert self.window is not None
         return self.window.value_at(degree)
 

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import partial
 from typing import NamedTuple, Optional, Union
 
 from .dsl import (
@@ -67,6 +68,10 @@ class Token(NamedTuple):
     col: int
 
 
+# builds a Token from one (kind, text, line, col) tuple without the Python
+# frame of the generated __new__
+_token = partial(tuple.__new__, Token)
+
 # One token after optional blanks; the end of the line and a comment match
 # no named group.  IDENT also matches a first character that is a digit or
 # numeric but not a decimal digit (``²``, ``½``), rejected below.
@@ -104,8 +109,8 @@ def _tokenize_line(text: str, line: int) -> list[Token]:
             if value == '"':
                 raise ScriptError("unterminated string", line, col)
             raise ScriptError(f"unexpected character {value[0]!r}", line, col)
-        out.append(Token(kind, value, line, col))
-    out.append(Token("END", "", line, len(text) + 1))
+        out.append(_token((kind, value, line, col)))
+    out.append(_token(("END", "", line, len(text) + 1)))
     return out
 
 

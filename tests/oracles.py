@@ -8,6 +8,7 @@ degreewise summand bookkeeping instead of formality.
 
 from __future__ import annotations
 
+import json
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -24,6 +25,7 @@ from simploc.coeff import (
     tensor_with_free,
 )
 from simploc.dsl import (
+    _ROOT,
     Blowup,
     BundleDatum,
     Disjoint,
@@ -36,7 +38,7 @@ from simploc.dsl import (
     classify,
     walk,
 )
-from simploc.engine import DegreeWindow, InconsistentDataError, UnderdeterminedError
+from simploc.engine import DegreeWindow, InconsistentDataError, UnderdeterminedError, Verdict
 from simploc.group_rep import GroupDatum
 from simploc.script import ScriptError, Token
 
@@ -628,3 +630,102 @@ def canonical_chain_reference(factors) -> tuple[int, ...]:
                 val *= powers[level]
         chain.append(val)
     return tuple(chain)
+
+
+# ---------------------------------------------------------------------------
+# children-first path order: the sort by integer path components that the
+# one-pass stack over preorder paths replaced
+
+
+def children_first_reference(paths) -> tuple[str, ...]:
+    inf = float("inf")
+    return tuple(
+        sorted(paths, key=lambda p: [inf] if p == _ROOT else [*map(int, p.split("/")), inf])
+    )
+
+
+# ---------------------------------------------------------------------------
+# degree tables of `compute` and `report`: the per-degree rendering the
+# distinct-row renderer replaced (both formats built, every row dumped)
+
+
+class _LinesReference:
+    def __init__(self, fmt: str):
+        self.fmt = fmt
+        self.lines: list[str] = []
+
+    def text(self, line: str) -> None:
+        if self.fmt == "text":
+            self.lines.append(line)
+
+    def record(self, **fields) -> None:
+        if self.fmt == "records":
+            fields["schema"] = "simploc.records/1"
+            self.lines.append(json.dumps(fields, sort_keys=True))
+
+
+def _fields_reference(g: FgAbGroup) -> dict:
+    return {
+        "free_rank": g.free_rank,
+        "invariant_factors": list(g.invariant_factors),
+        "rational": g.rational,
+    }
+
+
+def compute_lines_reference(fmt, target, tree_class, table, value, lo, hi) -> list[str]:
+    out = _LinesReference(fmt)
+    flags = list(value.provenance) + [f"oracle:{p}" for p in value.assumed_oracles]
+    out.text(f"{target} [class {tree_class.describe()}; table {table.name}]")
+    for degree in range(lo, hi + 1):
+        g = value.value_at(degree)
+        out.text(f"  degree {degree}: {g.describe()}")
+        out.record(
+            command="compute",
+            target=target,
+            table=table.name,
+            degree=degree,
+            flags=sorted(flags),
+            **_fields_reference(g),
+        )
+    for flag in flags:
+        out.text(f"  provenance: {flag}")
+    return out.lines
+
+
+def report_lines_reference(fmt, target, kh_value, kh_table, hcm_table, split, lo, hi):
+    """Lines of `report`, and the message of the ValueError that stopped it
+    (None if none)."""
+    out = _LinesReference(fmt)
+    out.text(f"{target} report [class B; kh={kh_table.name}; hcminus={hcm_table.name}]")
+    out.text("  degree | K | KH | HC^-")
+    for degree in range(lo, hi + 1):
+        kh_g = kh_value.value_at(degree)
+        hcm_g = hcm_table.group_at(degree)
+        if degree >= 1:
+            try:
+                k_g = direct_sum(kh_g, hcm_g)
+            except ValueError as exc:
+                return out.lines, str(exc)
+            rule = "split decomposition"
+        elif degree == 0:
+            k_g = kh_g
+            rule = "degree-zero trace isomorphism"
+        else:
+            k_g = FgAbGroup(0)
+            rule = "class-B vanishing below degree zero"
+        out.text(f"  {degree} | {k_g.describe()} | {kh_g.describe()} | {hcm_g.describe()}")
+        out.record(
+            command="report",
+            target=target,
+            degree=degree,
+            k=_fields_reference(k_g),
+            kh=_fields_reference(kh_g),
+            hcminus=_fields_reference(hcm_g),
+            rule=rule,
+        )
+    if isinstance(split, Verdict):
+        for h in split.hypotheses:
+            out.text(f"  hypothesis: {h}")
+    for p in kh_value.assumed_oracles:
+        out.text(f"  assumed oracle at {p}")
+    return out.lines, None

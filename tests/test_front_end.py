@@ -10,7 +10,7 @@ import pytest
 
 from simploc import dsl, script
 from simploc.cli import EXIT_OK, EXIT_VALIDATION, main
-from simploc.script import ScriptError, parse
+from simploc.script import ScriptError, Token, parse
 
 from .oracles import tokenize_line_reference
 
@@ -163,3 +163,12 @@ def test_compute_on_projective_space_of_large_dimension(tmp_path, capsys):
     text = "group trivial\nlet x = P(1000000)\ncompute x table=unit degrees=0..0\n"
     assert _run(tmp_path, text) == EXIT_OK
     assert "degree 0: Z^1000001" in capsys.readouterr().out
+
+
+def test_tokens_are_named_tuples():
+    tokens = script._tokenize_line('let x = f(1, "s") # c', 4)
+    assert all(type(tok) is Token for tok in tokens)
+    assert [(tok.kind, tok.text, tok.line, tok.col) for tok in tokens[-2:]] == [
+        ("RPAREN", ")", 4, 17),
+        ("END", "", 4, 22),
+    ]

@@ -14,6 +14,8 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from simploc.cli import EXIT_OK, main
 from simploc.dsl import (
@@ -24,6 +26,7 @@ from simploc.dsl import (
     Point,
     SheafDatum,
     StratifiedDescent,
+    children_first,
     classify,
     example_library,
     validate,
@@ -35,6 +38,7 @@ from simploc.schubert import CoweightDatum, affine_schubert_tree
 
 from .oracles import (
     affine_schubert_tree_recursive,
+    children_first_reference,
     degree0_oracle_paths,
     preorder_oracle_paths,
     unshare,
@@ -172,3 +176,13 @@ def test_deep_affine_tower_through_main(tmp_path, capsys):
     assert len(classified["assumed_oracles"]) == 1099
     assert computed["free_rank"] == 1101  # the fixed lattices of (1100, 0)
     assert verdict["verdict"] == "vanishing"
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.lists(st.integers(0, 12), max_size=5), max_size=30))
+def test_children_first_matches_the_sort_by_integer_components(raw):
+    # sorted index tuples are in preorder (a prefix first, siblings by
+    # index); () is the root, and indices past 9 take two digits
+    preorder = sorted(set(map(tuple, raw)))
+    paths = tuple("/".join(map(str, p)) or "(root)" for p in preorder)
+    assert children_first(paths) == children_first_reference(paths)
