@@ -408,18 +408,14 @@ def check_script(script: Script, fmt: str = "text") -> tuple[str, int]:
 
 def main(argv: Optional[list[str]] = None) -> int:
     parser = argparse.ArgumentParser(prog="simploc")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("run", "check"):
-        p = sub.add_parser(name)
-        p.add_argument("script", help="construction script file")
-        p.add_argument(
-            "--format", choices=("text", "records"), default="text", dest="fmt"
-        )
-        p.add_argument(
-            "--normalize-j",
-            action="store_true",
-            help="tighten Schubert j-sequences to the equivalent normal form",
-        )
+    parser.add_argument("command", choices=("run", "check"))
+    parser.add_argument("script", help="construction script file")
+    parser.add_argument("--format", choices=("text", "records"), default="text", dest="fmt")
+    parser.add_argument(
+        "--normalize-j",
+        action="store_true",
+        help="tighten Schubert j-sequences to the equivalent normal form",
+    )
     args = parser.parse_args(argv)
 
     path = Path(args.script)

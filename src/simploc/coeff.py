@@ -327,9 +327,6 @@ def snf(matrix: list[list[int]]) -> SmithForm:
                 for i in range(k + 1, rows):
                     if d[i][k]:
                         clear_entry_by_rows(k, i)
-                if any(d[i][k] for i in range(k + 1, rows)):
-                    dirty = True
-                    continue
                 for j in range(k + 1, cols):
                     if d[k][j]:
                         clear_entry_by_cols(k, j)
@@ -410,7 +407,7 @@ class CoefficientTable:
             "degree_groups",
             tuple(sorted((d, g) for d, g in stored.items() if not g.is_zero)),
         )
-        if self.group_at(0).free_rank < 1:
+        if not self.degree_groups or self.group_at(0).free_rank < 1:
             raise ValueError("degree-0 group must have free rank >= 1 (unital ring)")
 
     @cached_property
@@ -423,7 +420,7 @@ class CoefficientTable:
         stored = self._stored
         if degree in stored:
             return stored[degree]
-        if self.periodicity is None or not stored:
+        if self.periodicity is None:
             return ZERO_GROUP
         lo = self.degree_groups[0][0]
         if self.periodicity.two_sided or degree < lo:
@@ -435,8 +432,6 @@ class CoefficientTable:
         """Lower support bound, or None when periodicity extends downward."""
         if self.periodicity is not None:
             return None
-        if not self.degree_groups:
-            return 0
         return self.degree_groups[0][0]
 
 

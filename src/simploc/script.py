@@ -11,12 +11,14 @@ and commands.  Statements:
     verdict <name> preset=<id>
     report <name> kh=<id> hcminus=<id> degrees=<a>..<b>
 
-Tree expressions are library sugar (point, P(n), Gr(n, d), Flag(n, d=(...)),
-hirzebruch(m), cusp, node, cone_of_P1, cone(expr, twist), schubert(...),
-affine(...)) or explicit node forms (disjoint, flagbundle, descent, blowup,
-henselian).  Parentheses always build tuples, so nesting is unambiguous;
-``maps=[deg: ((..),(..)), ...]`` attaches comparison matrices per degree.
-The printer emits explicit forms only, and parse(print(tree)) round-trips.
+Each command is one entry of ``_COMMANDS`` and each call head one entry of
+``_SIGNATURES``.  Tree expressions are library sugar (point, P(n), Gr(n, d),
+Flag(n, d=(...)), hirzebruch(m), cusp, node, cone_of_P1, cone(expr, twist),
+schubert(...), affine(...)) or explicit node forms (disjoint, flagbundle,
+descent, blowup, henselian).  Parentheses always build tuples, so nesting is
+unambiguous; ``maps=[deg: ((..),(..)), ...]`` attaches comparison matrices
+per degree.  The printer, one ``dsl.fold``, emits explicit forms only, and
+parse(print(tree)) round-trips.
 """
 
 from __future__ import annotations
@@ -24,9 +26,11 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import partial
-from typing import NamedTuple, Optional, Union
+from typing import NamedTuple, Optional, Union, get_args
 
 from .dsl import (
+    BLOWUP_CORNERS,
+    SPLIT_KINDS,
     Blowup,
     BundleDatum,
     Disjoint,
@@ -37,6 +41,7 @@ from .dsl import (
     StratifiedDescent,
     Tree,
     example_library,
+    fold,
 )
 from .group_rep import GroupDatum
 from .schubert import (
@@ -134,9 +139,6 @@ class _Cursor:
             raise ScriptError(f"expected {kind}, got {tok.kind} {tok.text!r}", tok.line, tok.col)
         return self.next()
 
-    def at_end(self) -> bool:
-        return self.peek().kind == "END"
-
 
 # ---------------------------------------------------------------------------
 # argument values
@@ -223,12 +225,13 @@ def _as_rows(value: ArgValue, tok: Token, outer: str, inner: str) -> tuple[tuple
     return tuple(rows)
 
 
+_TREE_KINDS = get_args(Tree)
+
+
 def _as_tree(value: ArgValue, env: "_Env", tok: Token) -> Tree:
     if isinstance(value, Word):
         return env.resolve(value)
-    if isinstance(
-        value, (Point, HenselianBase, Disjoint, FlagBundle, StratifiedDescent, Blowup)
-    ):
+    if isinstance(value, _TREE_KINDS):
         return value
     raise ScriptError("expected a tree expression", tok.line, tok.col)
 
@@ -238,23 +241,23 @@ def _as_tree(value: ArgValue, env: "_Env", tok: Token) -> Tree:
 
 
 NULLARY = ("point", "cusp", "node", "cone_of_P1")
-# each call head's number of positional arguments (None: any number) and
-# the keywords it accepts
-_SIGNATURES: dict[str, tuple[Optional[int], tuple[str, ...]]] = {
-    "P": (1, ()),
-    "Gr": (2, ()),
-    "Flag": (1, ("d",)),
-    "hirzebruch": (1, ()),
-    "cone": (2, ()),
-    "schubert": (2, ("j",)),
-    "affine": (1, ("mu",)),
-    "disjoint": (None, ()),
-    "flagbundle": (1, ("rank", "d", "chars", "twists")),
-    "descent": (1, ("rank", "pres", "d", "oracle")),
-    "blowup": (None, ("unknown", "split", "X", "Y", "Z", "E", "maps")),
-    "henselian": (1, ()),
+# each call head's number of positional arguments (None: any number), the
+# keywords it requires, the message when one of them is missing, and the
+# other keywords it accepts
+_SIGNATURES: dict[str, tuple[Optional[int], tuple[str, ...], str, tuple[str, ...]]] = {
+    "P": (1, (), "", ()),
+    "Gr": (2, (), "", ()),
+    "Flag": (1, ("d",), "Flag needs d=(...)", ()),
+    "hirzebruch": (1, (), "", ()),
+    "cone": (2, (), "", ()),
+    "schubert": (2, ("j",), "schubert needs j=(...)", ()),
+    "affine": (1, ("mu",), "affine needs mu=(...)", ()),
+    "disjoint": (None, (), "", ()),
+    "flagbundle": (1, ("rank", "d"), "flagbundle needs rank= and d=", ("chars", "twists")),
+    "descent": (1, ("rank", "pres", "d"), "descent needs rank=, pres= and d=", ("oracle",)),
+    "blowup": (None, (), "", ("unknown", "split", *BLOWUP_CORNERS, "maps")),
+    "henselian": (1, (), "", ()),
 }
-CALL_HEADS = tuple(_SIGNATURES)
 
 
 class _Env:
@@ -305,12 +308,14 @@ def _parse_expr(cur: _Cursor, env: _Env) -> Tree:
     pos, kw = _parse_args(cur, env)
     if head not in _SIGNATURES:
         raise ScriptError(f"unknown constructor {head!r}", tok.line, tok.col)
-    count, allowed = _SIGNATURES[head]
+    count, required, missing, optional = _SIGNATURES[head]
     if count is not None and len(pos) != count:
         raise ScriptError(f"{head} takes {count} positional argument(s)", tok.line, tok.col)
-    extra = set(kw).difference(allowed)
+    extra = set(kw).difference(required + optional)
     if extra:
         raise ScriptError(f"{head} got unexpected keyword(s) {sorted(extra)}", tok.line, tok.col)
+    if not set(required).issubset(kw):
+        raise ScriptError(missing, tok.line, tok.col)
 
     if head == "P":
         return example_library(
@@ -324,8 +329,6 @@ def _parse_expr(cur: _Cursor, env: _Env) -> Tree:
             group=env.group,
         )
     if head == "Flag":
-        if "d" not in kw:
-            raise ScriptError("Flag needs d=(...)", tok.line, tok.col)
         return example_library(
             "flag",
             _as_int(pos[0][0], "n", tok),
@@ -340,8 +343,6 @@ def _parse_expr(cur: _Cursor, env: _Env) -> Tree:
             "projective_cone", base, _as_int(pos[1][0], "twist", tok), group=env.group
         )
     if head == "schubert":
-        if "j" not in kw:
-            raise ScriptError("schubert needs j=(...)", tok.line, tok.col)
         datum = FiniteSchubertDatum(
             _as_int(pos[0][0], "n", tok),
             _as_int(pos[1][0], "d", tok),
@@ -351,8 +352,6 @@ def _parse_expr(cur: _Cursor, env: _Env) -> Tree:
             datum = normalize_j(datum)
         return finite_schubert_tree(datum, env.group)
     if head == "affine":
-        if "mu" not in kw:
-            raise ScriptError("affine needs mu=(...)", tok.line, tok.col)
         datum = CoweightDatum(
             _as_int(pos[0][0], "n", tok), _as_int_tuple(kw["mu"], "mu", tok)
         )
@@ -360,8 +359,6 @@ def _parse_expr(cur: _Cursor, env: _Env) -> Tree:
     if head == "disjoint":
         return Disjoint(tuple(_as_tree(v, env, t) for v, t in pos))
     if head == "flagbundle":
-        if "rank" not in kw or "d" not in kw:
-            raise ScriptError("flagbundle needs rank= and d=", tok.line, tok.col)
         chars = None
         if "chars" in kw:
             chars = _as_rows(
@@ -377,8 +374,6 @@ def _parse_expr(cur: _Cursor, env: _Env) -> Tree:
             _as_int_tuple(kw["d"], "d", tok),
         )
     if head == "descent":
-        if "rank" not in kw or "pres" not in kw or "d" not in kw:
-            raise ScriptError("descent needs rank=, pres= and d=", tok.line, tok.col)
         pres = _as_int_tuple(kw["pres"], "pres", tok)
         if len(pres) != 2:
             raise ScriptError("pres must be a pair", tok.line, tok.col)
@@ -401,13 +396,13 @@ def _parse_expr(cur: _Cursor, env: _Env) -> Tree:
         split: Optional[str] = None
         if "split" in kw:
             val = kw["split"]
-            if not isinstance(val, Word) or val.name not in ("retraction", "section", "none"):
+            if not isinstance(val, Word) or val.name not in (*SPLIT_KINDS, "none"):
                 raise ScriptError(
                     "split= must be retraction, section or none", tok.line, tok.col
                 )
             split = None if val.name == "none" else val.name
         known = []
-        for label in ("X", "Y", "Z", "E"):
+        for label in BLOWUP_CORNERS:
             if label == unknown:
                 if label in kw:
                     raise ScriptError(
@@ -475,6 +470,17 @@ class ReportCmd:
 
 Statement = Union[TableDecl, LetDecl, ComputeCmd, ClassifyCmd, VerdictCmd, ReportCmd]
 
+# each command word: its statement, and the keys that follow the target as
+# ``key=value``, in order; ``degrees=lo..hi`` fills the fields lo and hi, any
+# other key the field of its name with one identifier
+_COMMANDS: dict[str, tuple[type, tuple[str, ...]]] = {
+    "compute": (ComputeCmd, ("table", "degrees")),
+    "classify": (ClassifyCmd, ()),
+    "verdict": (VerdictCmd, ("preset",)),
+    "report": (ReportCmd, ("kh", "hcminus", "degrees")),
+}
+_COMMAND_WORDS = {cls: word for word, (cls, _) in _COMMANDS.items()}
+
 
 @dataclass(frozen=True)
 class Script:
@@ -491,51 +497,37 @@ class Script:
 
     @property
     def commands(self) -> tuple[Statement, ...]:
-        return tuple(
-            s
-            for s in self.statements
-            if isinstance(s, (ComputeCmd, ClassifyCmd, VerdictCmd, ReportCmd))
-        )
+        return tuple(s for s in self.statements if type(s) in _COMMAND_WORDS)
 
 
-def _parse_key_eq(cur: _Cursor, key: str) -> None:
-    tok = cur.expect("IDENT")
-    if tok.text != key:
-        raise ScriptError(f"expected {key}=", tok.line, tok.col)
-    cur.expect("EQ")
-
-
-def _parse_target(cur: _Cursor, names: dict[str, Tree], head: Token) -> str:
+def _parse_command(cur: _Cursor, head: Token, names: dict[str, Tree]) -> Statement:
+    """The rest of a command line: the target, then the command's keys."""
+    cls, keys = _COMMANDS[head.text]
     target = cur.expect("IDENT").text
     if target not in names:
         raise ScriptError(f"undefined name {target!r}", head.line, head.col)
-    return target
+    values: list = [target]
+    for key in keys:
+        tok = cur.expect("IDENT")
+        if tok.text != key:
+            raise ScriptError(f"expected {key}=", tok.line, tok.col)
+        cur.expect("EQ")
+        if key != "degrees":
+            values.append(cur.expect("IDENT").text)
+            continue
+        lo = int(cur.expect("INT").text)
+        cur.expect("DOTDOT")
+        hi = int(cur.expect("INT").text)
+        if lo > hi:
+            tok = cur.peek()
+            raise ScriptError("empty degree range", tok.line, tok.col)
+        values += (lo, hi)
+    cur.expect("END")
+    return cls(*values)
 
 
-def _parse_degree_range(cur: _Cursor) -> tuple[int, int]:
-    lo = int(cur.expect("INT").text)
-    cur.expect("DOTDOT")
-    hi = int(cur.expect("INT").text)
-    if lo > hi:
-        tok = cur.peek()
-        raise ScriptError("empty degree range", tok.line, tok.col)
-    return lo, hi
-
-
-_RESERVED = set(NULLARY) | set(CALL_HEADS) | {
-    "group",
-    "table",
-    "let",
-    "compute",
-    "classify",
-    "verdict",
-    "report",
-    "torus",
-    "trivial",
-    "mu",
-    "retraction",
-    "section",
-    "none",
+_RESERVED = {*NULLARY, *_SIGNATURES, *_COMMANDS, *SPLIT_KINDS, "none"} | {
+    "group", "table", "let", "torus", "trivial", "mu"
 }
 
 
@@ -549,7 +541,7 @@ def parse(text: str, normalize_j_sequences: bool = False) -> Script:
     for lineno, raw in enumerate(text.splitlines(), start=1):
         tokens = _tokenize_line(raw, lineno)
         cur = _Cursor(tokens)
-        if cur.at_end():
+        if cur.peek().kind == "END":
             continue
         head = cur.expect("IDENT")
 
@@ -605,34 +597,8 @@ def parse(text: str, normalize_j_sequences: bool = False) -> Script:
             cur.expect("END")
             names[name] = tree
             statements.append(LetDecl(name, tree))
-        elif head.text == "compute":
-            target = _parse_target(cur, names, head)
-            _parse_key_eq(cur, "table")
-            table = cur.expect("IDENT").text
-            _parse_key_eq(cur, "degrees")
-            lo, hi = _parse_degree_range(cur)
-            cur.expect("END")
-            statements.append(ComputeCmd(target, table, lo, hi))
-        elif head.text == "classify":
-            target = _parse_target(cur, names, head)
-            cur.expect("END")
-            statements.append(ClassifyCmd(target))
-        elif head.text == "verdict":
-            target = _parse_target(cur, names, head)
-            _parse_key_eq(cur, "preset")
-            preset = cur.expect("IDENT").text
-            cur.expect("END")
-            statements.append(VerdictCmd(target, preset))
-        elif head.text == "report":
-            target = _parse_target(cur, names, head)
-            _parse_key_eq(cur, "kh")
-            kh = cur.expect("IDENT").text
-            _parse_key_eq(cur, "hcminus")
-            hcm = cur.expect("IDENT").text
-            _parse_key_eq(cur, "degrees")
-            lo, hi = _parse_degree_range(cur)
-            cur.expect("END")
-            statements.append(ReportCmd(target, kh, hcm, lo, hi))
+        elif head.text in _COMMANDS:
+            statements.append(_parse_command(cur, head, names))
         else:
             raise ScriptError(f"unknown statement {head.text!r}", head.line, head.col)
 
@@ -645,45 +611,63 @@ def parse(text: str, normalize_j_sequences: bool = False) -> Script:
 # canonical printing
 
 
-def print_tree(tree: Tree) -> str:
-    """Canonical explicit-form expression; parse(print_tree(t)) == t."""
-    if isinstance(tree, Point):
+def _call(head: str, args: list) -> list:
+    """``head(arg, arg, ...)`` as a printed form."""
+    separated = [item for arg in args for item in (", ", arg)]
+    return [f"{head}(", *separated[1:], ")"]
+
+
+def _printed(node: Tree, kids: list):
+    """The node's printed form from its children's: a string, or a list of
+    strings and children's forms, flattened by ``_joined``.  A child's form
+    is referenced, not copied, so a deep tower prints in linear time."""
+    if isinstance(node, Point):
         return "point"
-    if isinstance(tree, HenselianBase):
-        return f"henselian({tree.p})"
-    if isinstance(tree, Disjoint):
-        return f"disjoint({', '.join(print_tree(c) for c in tree.children)})"
-    if isinstance(tree, FlagBundle):
-        parts = [print_tree(tree.base), f"rank={tree.bundle.rank}", f"d={_fmt_tuple(tree.d_vec)}"]
-        if tree.bundle.split_characters is not None:
-            chars = ", ".join(_fmt_tuple(c) for c in tree.bundle.split_characters)
-            parts.append(f"chars=({chars})")
-        if tree.bundle.twist_labels is not None:
-            parts.append(f"twists={_fmt_tuple(tree.bundle.twist_labels)}")
-        return f"flagbundle({', '.join(parts)})"
-    if isinstance(tree, StratifiedDescent):
-        parts = [
-            print_tree(tree.total_space),
-            f"rank={tree.sheaf.generic_rank}",
-            f"pres={_fmt_tuple(tree.sheaf.presentation_ranks)}",
-            f"d={_fmt_tuple(tree.d_vec)}",
-        ]
-        if tree.oracle_rank is not None:
-            parts.append(f"oracle={tree.oracle_rank}")
-        return f"descent({', '.join(parts)})"
-    if isinstance(tree, Blowup):
-        parts = [f"unknown={tree.unknown_corner}"]
-        parts.append(f"split={tree.split if tree.split is not None else 'none'}")
-        for label, corner in tree.known:
-            parts.append(f"{label}={print_tree(corner)}")
-        if tree.comparison_maps:
-            pairs = ", ".join(
-                f"{deg}: ({', '.join(_fmt_tuple(row) for row in matrix)})"
-                for deg, matrix in tree.comparison_maps
-            )
-            parts.append(f"maps=[{pairs}]")
-        return f"blowup({', '.join(parts)})"
-    raise TypeError(f"not a construction tree: {tree!r}")
+    if isinstance(node, HenselianBase):
+        return f"henselian({node.p})"
+    if isinstance(node, Disjoint):
+        return _call("disjoint", kids)
+    if isinstance(node, FlagBundle):
+        bundle = node.bundle
+        args = [kids[0], f"rank={bundle.rank}", f"d={_fmt_tuple(node.d_vec)}"]
+        if bundle.split_characters is not None:
+            args.append(f"chars={_fmt_tuple(map(_fmt_tuple, bundle.split_characters))}")
+        if bundle.twist_labels is not None:
+            args.append(f"twists={_fmt_tuple(bundle.twist_labels)}")
+        return _call("flagbundle", args)
+    if isinstance(node, StratifiedDescent):
+        args = [kids[0], f"rank={node.sheaf.generic_rank}"]
+        args += [f"pres={_fmt_tuple(node.sheaf.presentation_ranks)}", f"d={_fmt_tuple(node.d_vec)}"]
+        if node.oracle_rank is not None:
+            args.append(f"oracle={node.oracle_rank}")
+        return _call("descent", args)
+    # a blowup: the one kind left
+    split = node.split if node.split is not None else "none"
+    args = [f"unknown={node.unknown_corner}", f"split={split}"]
+    args += ([f"{label}=", kid] for (label, _), kid in zip(node.known, kids))
+    if node.comparison_maps:
+        pairs = (f"{deg}: {_fmt_tuple(map(_fmt_tuple, m))}" for deg, m in node.comparison_maps)
+        args.append(f"maps=[{', '.join(pairs)}]")
+    return _call("blowup", args)
+
+
+def _joined(form) -> str:
+    """The text of a printed form, flattened with an explicit stack."""
+    out: list[str] = []
+    stack = [form]
+    while stack:
+        item = stack.pop()
+        if type(item) is str:
+            out.append(item)
+        else:
+            stack.extend(reversed(item))
+    return "".join(out)
+
+
+def print_tree(tree: Tree) -> str:
+    """Canonical explicit-form expression; parse(print_tree(t)) == t.  One
+    ``fold`` formats each distinct node once."""
+    return _joined(fold(tree, _printed))
 
 
 def _fmt_tuple(values) -> str:
@@ -691,31 +675,23 @@ def _fmt_tuple(values) -> str:
 
 
 def print_script(script: Script) -> str:
-    """Canonical script text; parse(print_script(s)) == s."""
+    """Canonical script text; parse(print_script(s)) == s.  The trees of all
+    ``let`` lines are formatted in one fold, each distinct node once."""
     g = script.group
-    if g.is_trivial:
-        lines = ["group trivial"]
-    else:
-        line = f"group torus {g.free_rank}"
-        if g.finite_orders:
-            line += " mu " + " ".join(str(o) for o in g.finite_orders)
-        lines = [line]
+    mu = f" mu {' '.join(map(str, g.finite_orders))}" if g.finite_orders else ""
+    lines = ["group trivial" if g.is_trivial else f"group torus {g.free_rank}{mu}"]
+    lets = Disjoint(tuple(s.tree for s in script.statements if isinstance(s, LetDecl)))
+    forms = iter(fold(lets, lambda node, kids: kids if node is lets else _printed(node, kids)))
     for stmt in script.statements:
         if isinstance(stmt, TableDecl):
             lines.append(f'table {stmt.name} = "{stmt.path}"')
         elif isinstance(stmt, LetDecl):
-            lines.append(f"let {stmt.name} = {print_tree(stmt.tree)}")
-        elif isinstance(stmt, ComputeCmd):
-            lines.append(
-                f"compute {stmt.target} table={stmt.table} degrees={stmt.lo}..{stmt.hi}"
+            lines.append(f"let {stmt.name} = {_joined(next(forms))}")
+        else:
+            word = _COMMAND_WORDS[type(stmt)]
+            pairs = (
+                f"{key}={stmt.lo}..{stmt.hi}" if key == "degrees" else f"{key}={getattr(stmt, key)}"
+                for key in _COMMANDS[word][1]
             )
-        elif isinstance(stmt, ClassifyCmd):
-            lines.append(f"classify {stmt.target}")
-        elif isinstance(stmt, VerdictCmd):
-            lines.append(f"verdict {stmt.target} preset={stmt.preset}")
-        elif isinstance(stmt, ReportCmd):
-            lines.append(
-                f"report {stmt.target} kh={stmt.kh} hcminus={stmt.hcminus} "
-                f"degrees={stmt.lo}..{stmt.hi}"
-            )
+            lines.append(" ".join((word, stmt.target, *pairs)))
     return "\n".join(lines) + "\n"

@@ -10,6 +10,7 @@ from simploc.coeff import (
     ZERO_GROUP,
     CoefficientTable,
     FgAbGroup,
+    Periodicity,
     builtin_table,
     direct_sum,
     parse_table_file,
@@ -194,6 +195,15 @@ def test_builtin_rational_deg0_and_unknown():
 def test_table_requires_unital_degree_zero():
     with pytest.raises(ValueError):
         CoefficientTable("bad", ((1, Z),))
+
+
+def test_table_without_rows_is_refused_with_or_without_a_period():
+    # the emptiness guard sits in __post_init__, before group_at reads a row
+    for periodicity in (None, Periodicity(2, "beta"), Periodicity(2, "u", two_sided=False)):
+        with pytest.raises(ValueError, match="unital ring"):
+            CoefficientTable("empty", (), periodicity=periodicity)
+        with pytest.raises(ValueError, match="unital ring"):
+            CoefficientTable("zero", ((0, FgAbGroup(0)), (2, FgAbGroup(0))), periodicity=periodicity)
 
 
 def test_parse_table_file():

@@ -1,5 +1,6 @@
-"""Script front end: tokenizer against its reference, parse-error and
-shared-invalid goldens, one validation fold per script, unreadable scripts."""
+"""Script front end: tokenizer against its reference, goldens of parse,
+statement, validation and engine errors and of a shared invalid subtree,
+one validation fold per script, unreadable scripts."""
 
 import json
 import random
@@ -71,6 +72,38 @@ def test_parse_errors_match_golden(name, capsys):
     assert code == PARSE_ERRORS_EXPECTED[name]["exit"]
     assert captured.err == PARSE_ERRORS_EXPECTED[name]["stderr"]
     assert captured.out == ""
+
+
+STATEMENT_ERRORS = GOLDEN / "statement_errors"
+STATEMENT_ERRORS_EXPECTED = json.loads((STATEMENT_ERRORS / "expected.json").read_text())
+
+
+@pytest.mark.parametrize("name", sorted(STATEMENT_ERRORS_EXPECTED))
+def test_statement_errors_match_golden(name, capsys):
+    """The errors of statement lines (group, table, let and command
+    keywords) and of a script without a group."""
+    code = main(["run", str(STATEMENT_ERRORS / f"{name}.slc")])
+    captured = capsys.readouterr()
+    assert code == STATEMENT_ERRORS_EXPECTED[name]["exit"]
+    assert captured.err == STATEMENT_ERRORS_EXPECTED[name]["stderr"]
+    assert captured.out == ""
+
+
+ENGINE_ERRORS = GOLDEN / "engine_errors"
+ENGINE_ERRORS_EXPECTED = json.loads((ENGINE_ERRORS / "expected.json").read_text())
+
+
+@pytest.mark.parametrize("name", sorted(ENGINE_ERRORS_EXPECTED))
+@pytest.mark.parametrize("mode", ["run text", "run records", "check text", "check records"])
+def test_validation_and_engine_errors_match_golden(name, mode, capsys):
+    """Trees that parse but break a validation rule, or whose computation
+    fails in the engine: output and exit code of each command and format."""
+    command, fmt = mode.split()
+    code = main([command, str(ENGINE_ERRORS / f"{name}.slc"), f"--format={fmt}"])
+    captured = capsys.readouterr()
+    expected = ENGINE_ERRORS_EXPECTED[name][mode]
+    assert code == expected["exit"]
+    assert (captured.out, captured.err) == (expected["stdout"], expected["stderr"])
 
 
 SHARED_INVALID = GOLDEN / "shared_invalid"
