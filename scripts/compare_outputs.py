@@ -4,8 +4,12 @@
     python3 scripts/compare_outputs.py OLD_ROOT NEW_ROOT
 
 Runs ``run`` and ``check`` in ``text`` and ``records`` format on every
-script of the corpus with each checkout's ``src/``, and prints one line per
-difference in stdout, stderr or exit code.  Exits 0 when there is none.
+script of the corpus with each checkout's ``src/``, and ``print``s each
+script: ``print_script(parse(text))``, once plain and once with
+``normalize_j_sequences=True``, or the parse error.  The ``print`` mode
+catches a parse change that never reaches the output of ``run`` or
+``check``.  Prints one line per difference in stdout, stderr or exit code;
+exits 0 when there is none.
 The corpus is taken from NEW_ROOT: the shipped scripts, every ``.slc``
 under ``tests/golden/``, and every script that ``bench/workloads.generate``
 makes at seed 7 (``bench/`` is imported, never written).
@@ -19,18 +23,33 @@ import tempfile
 from pathlib import Path
 
 MODES = [(command, fmt) for command in ("run", "check") for fmt in ("text", "records")]
+MODES += [("print", "plain"), ("print", "normalize-j")]
 
 # run in one process per checkout: reads [[script, command, fmt], ...] on
 # stdin, writes [[stdout, stderr, exit code], ...] on stdout
 RUNNER = """
 import contextlib, io, json, sys, traceback
 from simploc.cli import main
+from simploc.script import ScriptError, parse, print_script
+def printed(script, fmt):
+    with open(script, encoding="utf-8") as handle:
+        text = handle.read()
+    try:
+        parsed = parse(text, normalize_j_sequences=fmt == "normalize-j")
+    except (ScriptError, ValueError) as exc:
+        print(f"parse error: {exc}", file=sys.stderr)
+        return 1
+    print(print_script(parsed), end="")
+    return 0
 results = []
 for script, command, fmt in json.load(sys.stdin):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
-            code = main([command, "--format", fmt, script])
+            if command == "print":
+                code = printed(script, fmt)
+            else:
+                code = main([command, "--format", fmt, script])
         except Exception as exc:
             traceback.print_exception(exc, file=err)
             code = "uncaught " + type(exc).__name__
@@ -85,7 +104,8 @@ def main(argv: list[str]) -> int:
         for part, a, b in zip(("stdout", "stderr", "exit code"), was, now):
             if a != b:
                 differences += 1
-                print(f"{name} [{command} --format {fmt}]: {part} differs")
+                mode = f"print {fmt}" if command == "print" else f"{command} --format {fmt}"
+                print(f"{name} [{mode}]: {part} differs")
     print(f"{len(jobs)} outputs compared, {differences} differences")
     return 1 if differences else 0
 

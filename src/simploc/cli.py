@@ -40,6 +40,7 @@ from .engine import (
     parshin_check,
     positive_split_verdict,
     refute_membership_b,
+    unconcentrated,
     verify_comparison,
 )
 from .group_rep import GroupDatum
@@ -68,6 +69,13 @@ PRESET_IDS = ("cyclotomic_Fp", "goodwillie_jones_Q", "parshin_Fq", "ktop_C")
 _DEGREE_ZERO_FIBER = FiberTable(
     known=((0, FgAbGroup(0)), (-1, FgAbGroup(0))), complete=False
 )
+# each preset decided by the comparison fiber on the classifying stack: its
+# default fiber and the degree it upgrades (None: every degree)
+_FIBER_PRESETS = {
+    "cyclotomic_Fp": (ZERO_FIBER, None),
+    "goodwillie_jones_Q": (_DEGREE_ZERO_FIBER, 0),
+    "ktop_C": (_DEGREE_ZERO_FIBER, 0),
+}
 
 
 def preset_verdict(
@@ -83,24 +91,15 @@ def preset_verdict(
     overrides exist so property suites can probe the refusal paths.
     """
     cls = tree_class if tree_class is not None else classify(tree)
-    if preset == "cyclotomic_Fp":
-        fiber = fiber_override if fiber_override is not None else ZERO_FIBER
-        return verify_comparison(fiber, cls)
-    if preset in ("goodwillie_jones_Q", "ktop_C"):
-        fiber = fiber_override if fiber_override is not None else _DEGREE_ZERO_FIBER
-        return verify_comparison(fiber, cls, target_degree=0)
+    if preset in _FIBER_PRESETS:
+        default, degree = _FIBER_PRESETS[preset]
+        fiber = fiber_override if fiber_override is not None else default
+        return verify_comparison(fiber, cls, degree)
     if preset == "parshin_Fq":
-        if fiber_override is not None:
-            # a fiber probe with support off degree zero withdraws the
-            # concentration hypothesis
-            off_zero = [
-                d for d, g in fiber_override.known if d != 0 and not g.is_zero
-            ]
-            if off_zero:
-                return NoVerdict(
-                    "rationalized point values are not concentrated in degree zero"
-                )
-        return parshin_check(tree, group)
+        # a fiber probe with support off degree zero withdraws the
+        # concentration hypothesis
+        refused = fiber_override is not None and unconcentrated(fiber_override.known)
+        return refused or parshin_check(tree, group)
     raise LookupError(f"unknown preset {preset!r} (choose from {PRESET_IDS})")
 
 
@@ -109,7 +108,6 @@ _VERDICT_LABELS = {
     "iso_in_degree": "IsoInDegree",
     "split_decomposition": "SplitDecomposition",
     "vanishing": "Vanishing",
-    "not_in_b": "NotInB",
 }
 
 

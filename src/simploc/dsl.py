@@ -177,13 +177,6 @@ def children(tree: Tree) -> tuple[Tree, ...]:
     raise TypeError(f"not a construction tree: {tree!r}")
 
 
-def walk(tree: Tree, path: str = ""):
-    """Yield (path, node) pairs, parents before children."""
-    yield path, tree
-    for i, child in enumerate(children(tree)):
-        yield from walk(child, f"{path}/{i}" if path else str(i))
-
-
 def fold(tree: Tree, visit):
     """Post-order fold: ``visit(node, child_values)`` runs once per distinct
     node object (by ``id()``), after its children, and the root's value is
@@ -229,6 +222,11 @@ def _listed(tree: Tree, count, own):
         for i in range(len(kids) - 1, -1, -1):
             if count(kids[i]):
                 stack.append((kids[i], f"{path}/{i}" if path else str(i)))
+
+
+def walk(tree: Tree):
+    """Yield (path, node) pairs, parents before children, at every path."""
+    yield from _listed(tree, lambda n: 1, lambda n: (n,))
 
 
 def children_first(paths: tuple[str, ...]) -> tuple[str, ...]:
@@ -474,12 +472,14 @@ def classify(tree: Tree) -> MembershipClass:
 # example library
 
 
-def _standard_characters(group: GroupDatum, count: int) -> Optional[tuple[tuple[int, ...], ...]]:
-    """Standard torus weights on the first `count` coordinates, when the
-    torus is big enough; None otherwise (non-equivariant tree)."""
-    if group.free_rank >= count and not group.finite_orders:
-        return tuple(group.basis_character(i) for i in range(count))
-    return None
+def _flag_variety(n: int, d_vec: tuple[int, ...], group: GroupDatum) -> Tree:
+    """Flags of type ``d_vec`` in an n-space: a flag bundle over the point,
+    with standard torus weights on the n coordinates when the torus is big
+    enough (otherwise non-equivariant)."""
+    chars = None
+    if group.free_rank >= n and not group.finite_orders:
+        chars = tuple(group.basis_character(i) for i in range(n))
+    return FlagBundle(Point(), BundleDatum(n, split_characters=chars), tuple(d_vec))
 
 
 NODE_DEGREE0_MAP = ((1, 1, 1), (1, 1, 1))
@@ -496,25 +496,13 @@ def example_library(name: str, *params, group: GroupDatum = GroupDatum(0)) -> Tr
         (n,) = params
         if n < 0:
             raise ValueError("projective space dimension must be >= 0")
-        return FlagBundle(
-            Point(),
-            BundleDatum(n + 1, split_characters=_standard_characters(group, n + 1)),
-            (1,),
-        )
+        return _flag_variety(n + 1, (1,), group)
     if name == "grassmannian":
         n, d = params
-        return FlagBundle(
-            Point(),
-            BundleDatum(n, split_characters=_standard_characters(group, n)),
-            (d,),
-        )
+        return _flag_variety(n, (d,), group)
     if name == "flag":
         n, d_vec = params
-        return FlagBundle(
-            Point(),
-            BundleDatum(n, split_characters=_standard_characters(group, n)),
-            tuple(d_vec),
-        )
+        return _flag_variety(n, d_vec, group)
     if name == "hirzebruch":
         (m,) = params
         base = example_library("projective_space", 1, group=group)

@@ -705,7 +705,7 @@ ZERO_FIBER = FiberTable(known=(), complete=True)
 class Verdict:
     """A theorem-backed conclusion together with the hypotheses consumed."""
 
-    kind: str  # equivalence_all_degrees | iso_in_degree | split_decomposition | vanishing | not_in_b
+    kind: str  # equivalence_all_degrees | iso_in_degree | split_decomposition | vanishing
     hypotheses: tuple[str, ...]
     conclusion_text: str
     degree: Optional[int] = None
@@ -848,6 +848,17 @@ def refute_membership_b(tree: Tree, group: GroupDatum = GroupDatum(0)) -> Option
     return None
 
 
+def unconcentrated(
+    groups: tuple[tuple[int, FgAbGroup], ...], periodic: bool = False
+) -> Optional[NoVerdict]:
+    """The refusal of the vanishing statement when rationalized point values,
+    given as (degree, group) pairs, have a nonzero group off degree zero or
+    repeat periodically; None when they are concentrated in degree zero."""
+    if periodic or any(d != 0 and not g.is_zero for d, g in groups):
+        return NoVerdict("rationalized point values are not concentrated in degree zero")
+    return None
+
+
 def parshin_check(
     tree: Tree,
     group: GroupDatum,
@@ -865,11 +876,9 @@ def parshin_check(
             f"vanishing statement needs class B; tree is {cls.describe()}"
         )
     table = point_table if point_table is not None else builtin_table("rational_deg0")
-    off_zero = [d for d, g in table.degree_groups if d != 0 and not g.is_zero]
-    if off_zero or table.periodicity is not None:
-        return NoVerdict(
-            "rationalized point values are not concentrated in degree zero"
-        )
+    refused = unconcentrated(table.degree_groups, table.periodicity is not None)
+    if refused:
+        return refused
     module = compute_degree0(tree, group)
     hypotheses = (
         "membership class B",

@@ -12,13 +12,16 @@ and commands.  Statements:
     report <name> kh=<id> hcminus=<id> degrees=<a>..<b>
 
 Each command is one entry of ``_COMMANDS`` and each call head one entry of
-``_SIGNATURES``.  Tree expressions are library sugar (point, P(n), Gr(n, d),
-Flag(n, d=(...)), hirzebruch(m), cusp, node, cone_of_P1, cone(expr, twist),
-schubert(...), affine(...)) or explicit node forms (disjoint, flagbundle,
-descent, blowup, henselian).  Parentheses always build tuples, so nesting is
-unambiguous; ``maps=[deg: ((..),(..)), ...]`` attaches comparison matrices
-per degree.  The printer, one ``dsl.fold``, emits explicit forms only, and
-parse(print(tree)) round-trips.
+``_SIGNATURES``: its positional count and keywords, its arguments with their
+converters in conversion order, and the builder of its tree.  One loop
+converts the arguments of every call but ``disjoint`` and ``blowup``, which
+convert their own.  Tree expressions are library sugar (point, P(n),
+Gr(n, d), Flag(n, d=(...)), hirzebruch(m), cusp, node, cone_of_P1,
+cone(expr, twist), schubert(...), affine(...)) or explicit node forms
+(disjoint, flagbundle, descent, blowup, henselian).  Parentheses always
+build tuples, so nesting is unambiguous; ``maps=[deg: ((..),(..)), ...]``
+attaches comparison matrices per degree.  The printer, one ``dsl.fold``,
+emits explicit forms only, and parse(print(tree)) round-trips.
 """
 
 from __future__ import annotations
@@ -195,18 +198,30 @@ def _parse_value(cur: _Cursor, env: "_Env") -> ArgValue:
     raise ScriptError(f"unexpected token {tok.text!r}", tok.line, tok.col)
 
 
-def _as_int(value: ArgValue, what: str, tok: Token) -> int:
+# Each converter takes (value, name, token, env): the argument, the name its
+# error message uses, the call head's token for the error position, and the
+# names in scope.
+
+
+def _as_int(value: ArgValue, what: str, tok: Token, env: "_Env") -> int:
     if isinstance(value, int):
         return value
     raise ScriptError(f"{what} must be an integer", tok.line, tok.col)
 
 
-def _as_int_tuple(value: ArgValue, what: str, tok: Token) -> tuple[int, ...]:
+def _as_int_tuple(value: ArgValue, what: str, tok: Token, env: "_Env") -> tuple[int, ...]:
     if isinstance(value, int):
         return (value,)
     if isinstance(value, tuple) and all(isinstance(v, int) for v in value):
         return value
     raise ScriptError(f"{what} must be an integer or tuple of integers", tok.line, tok.col)
+
+
+def _as_pair(value: ArgValue, what: str, tok: Token, env: "_Env") -> tuple[int, int]:
+    pair = _as_int_tuple(value, what, tok, env)
+    if len(pair) != 2:
+        raise ScriptError(f"{what} must be a pair", tok.line, tok.col)
+    return pair
 
 
 def _as_rows(value: ArgValue, tok: Token, outer: str, inner: str) -> tuple[tuple[int, ...], ...]:
@@ -225,10 +240,16 @@ def _as_rows(value: ArgValue, tok: Token, outer: str, inner: str) -> tuple[tuple
     return tuple(rows)
 
 
+def _as_chars(value: ArgValue, what: str, tok: Token, env: "_Env") -> tuple[tuple[int, ...], ...]:
+    outer = f"{what} must be a tuple of character tuples"
+    return _as_rows(value, tok, outer, f"{what} entries must be integer tuples")
+
+
 _TREE_KINDS = get_args(Tree)
 
 
-def _as_tree(value: ArgValue, env: "_Env", tok: Token) -> Tree:
+def _as_tree(value: ArgValue, what: str, tok: Token, env: "_Env") -> Tree:
+    """A tree, or the tree a name stands for; the message names no argument."""
     if isinstance(value, Word):
         return env.resolve(value)
     if isinstance(value, _TREE_KINDS):
@@ -238,26 +259,6 @@ def _as_tree(value: ArgValue, env: "_Env", tok: Token) -> Tree:
 
 # ---------------------------------------------------------------------------
 # expressions
-
-
-NULLARY = ("point", "cusp", "node", "cone_of_P1")
-# each call head's number of positional arguments (None: any number), the
-# keywords it requires, the message when one of them is missing, and the
-# other keywords it accepts
-_SIGNATURES: dict[str, tuple[Optional[int], tuple[str, ...], str, tuple[str, ...]]] = {
-    "P": (1, (), "", ()),
-    "Gr": (2, (), "", ()),
-    "Flag": (1, ("d",), "Flag needs d=(...)", ()),
-    "hirzebruch": (1, (), "", ()),
-    "cone": (2, (), "", ()),
-    "schubert": (2, ("j",), "schubert needs j=(...)", ()),
-    "affine": (1, ("mu",), "affine needs mu=(...)", ()),
-    "disjoint": (None, (), "", ()),
-    "flagbundle": (1, ("rank", "d"), "flagbundle needs rank= and d=", ("chars", "twists")),
-    "descent": (1, ("rank", "pres", "d"), "descent needs rank=, pres= and d=", ("oracle",)),
-    "blowup": (None, (), "", ("unknown", "split", *BLOWUP_CORNERS, "maps")),
-    "henselian": (1, (), "", ()),
-}
 
 
 class _Env:
@@ -274,6 +275,95 @@ class _Env:
         if word.name in NULLARY:
             return example_library(word.name, group=self.group)
         raise ScriptError(f"undefined name {word.name!r}", word.line, word.col)
+
+
+def _library(name: str):
+    """The builder of a library entry from its converted parameters."""
+    return lambda env, *params: example_library(name, *params, group=env.group)
+
+
+def _schubert(env: _Env, n: int, d: int, j: tuple[int, ...]) -> Tree:
+    datum = FiniteSchubertDatum(n, d, j)
+    return finite_schubert_tree(normalize_j(datum) if env.normalize else datum, env.group)
+
+
+def _disjoint(pos: list, kw: dict, env: _Env, tok: Token) -> Tree:
+    """Each part's error is reported at the part's own token."""
+    return Disjoint(tuple(_as_tree(v, "", t, env) for v, t in pos))
+
+
+def _blowup(pos: list, kw: dict, env: _Env, tok: Token) -> Tree:
+    """The corners are checked in order, each before its tree is converted."""
+    if pos:
+        raise ScriptError("blowup takes keyword arguments only", tok.line, tok.col)
+    unknown = "X"
+    if "unknown" in kw:
+        val = kw["unknown"]
+        if not isinstance(val, Word):
+            raise ScriptError("unknown= must be a corner label", tok.line, tok.col)
+        unknown = val.name
+    split: Optional[str] = None
+    if "split" in kw:
+        val = kw["split"]
+        if not isinstance(val, Word) or val.name not in (*SPLIT_KINDS, "none"):
+            raise ScriptError("split= must be retraction, section or none", tok.line, tok.col)
+        split = None if val.name == "none" else val.name
+    known = []
+    for label in BLOWUP_CORNERS:
+        if label == unknown:
+            if label in kw:
+                raise ScriptError(
+                    f"corner {label} is the unknown and cannot be given", tok.line, tok.col
+                )
+            continue
+        if label not in kw:
+            raise ScriptError(f"blowup is missing corner {label}=", tok.line, tok.col)
+        known.append((label, _as_tree(kw[label], label, tok, env)))
+    maps: tuple[tuple[int, tuple[tuple[int, ...], ...]], ...] = ()
+    if "maps" in kw:
+        val = kw["maps"]
+        if not isinstance(val, MapLit):
+            raise ScriptError("maps= must be a [degree: matrix, ...] literal", tok.line, tok.col)
+        errors = "matrix must be a tuple of row tuples", "matrix rows must be integer tuples"
+        maps = tuple((deg, _as_rows(m, tok, *errors)) for deg, m in val.pairs)
+    return Blowup(tuple(known), unknown, split, maps)
+
+
+NULLARY = ("point", "cusp", "node", "cone_of_P1")
+# each call head: its number of positional arguments (None: any number), the
+# keywords it requires, the message when one of them is missing, the other
+# keywords it accepts, its arguments in conversion order as (positional
+# index or keyword, converter, name in messages), and the builder called
+# with the env and the converted arguments (None for an optional keyword
+# left out).  Without an argument list the builder converts its own
+# arguments from (positional, keywords, env, head token).
+_SIGNATURES: dict[str, tuple] = {
+    "P": (1, (), "", (), ((0, _as_int, "dimension"),), _library("projective_space")),
+    "Gr": (2, (), "", (), ((0, _as_int, "n"), (1, _as_int, "d")), _library("grassmannian")),
+    "Flag": (1, ("d",), "Flag needs d=(...)", (),
+             ((0, _as_int, "n"), ("d", _as_int_tuple, "d")), _library("flag")),
+    "hirzebruch": (1, (), "", (), ((0, _as_int, "twist"),), _library("hirzebruch")),
+    "cone": (2, (), "", (), ((0, _as_tree, "base"), (1, _as_int, "twist")),
+             _library("projective_cone")),
+    "schubert": (2, ("j",), "schubert needs j=(...)", (),
+                 ((0, _as_int, "n"), (1, _as_int, "d"), ("j", _as_int_tuple, "j")), _schubert),
+    "affine": (1, ("mu",), "affine needs mu=(...)", (),
+               ((0, _as_int, "n"), ("mu", _as_int_tuple, "mu")),
+               lambda env, n, mu: affine_schubert_tree(CoweightDatum(n, mu), env.group)),
+    "disjoint": (None, (), "", (), None, _disjoint),
+    "flagbundle": (1, ("rank", "d"), "flagbundle needs rank= and d=", ("chars", "twists"),
+                   (("chars", _as_chars, "chars"), ("twists", _as_int_tuple, "twists"),
+                    (0, _as_tree, "base"), ("rank", _as_int, "rank"), ("d", _as_int_tuple, "d")),
+                   lambda env, chars, twists, base, rank, d:
+                   FlagBundle(base, BundleDatum(rank, chars, twists), d)),
+    "descent": (1, ("rank", "pres", "d"), "descent needs rank=, pres= and d=", ("oracle",),
+                (("pres", _as_pair, "pres"), ("oracle", _as_int, "oracle"),
+                 (0, _as_tree, "base"), ("rank", _as_int, "rank"), ("d", _as_int_tuple, "d")),
+                lambda env, pres, oracle, base, rank, d:
+                StratifiedDescent(base, SheafDatum(rank, pres), d, oracle)),
+    "blowup": (None, (), "", ("unknown", "split", *BLOWUP_CORNERS, "maps"), None, _blowup),
+    "henselian": (1, (), "", (), ((0, _as_int, "prime"),), lambda env, p: HenselianBase(p)),
+}
 
 
 def _parse_args(
@@ -308,7 +398,7 @@ def _parse_expr(cur: _Cursor, env: _Env) -> Tree:
     pos, kw = _parse_args(cur, env)
     if head not in _SIGNATURES:
         raise ScriptError(f"unknown constructor {head!r}", tok.line, tok.col)
-    count, required, missing, optional = _SIGNATURES[head]
+    count, required, missing, optional, args, build = _SIGNATURES[head]
     if count is not None and len(pos) != count:
         raise ScriptError(f"{head} takes {count} positional argument(s)", tok.line, tok.col)
     extra = set(kw).difference(required + optional)
@@ -316,112 +406,17 @@ def _parse_expr(cur: _Cursor, env: _Env) -> Tree:
         raise ScriptError(f"{head} got unexpected keyword(s) {sorted(extra)}", tok.line, tok.col)
     if not set(required).issubset(kw):
         raise ScriptError(missing, tok.line, tok.col)
-
-    if head == "P":
-        return example_library(
-            "projective_space", _as_int(pos[0][0], "dimension", tok), group=env.group
-        )
-    if head == "Gr":
-        return example_library(
-            "grassmannian",
-            _as_int(pos[0][0], "n", tok),
-            _as_int(pos[1][0], "d", tok),
-            group=env.group,
-        )
-    if head == "Flag":
-        return example_library(
-            "flag",
-            _as_int(pos[0][0], "n", tok),
-            _as_int_tuple(kw["d"], "d", tok),
-            group=env.group,
-        )
-    if head == "hirzebruch":
-        return example_library("hirzebruch", _as_int(pos[0][0], "twist", tok), group=env.group)
-    if head == "cone":
-        base = _as_tree(pos[0][0], env, tok)
-        return example_library(
-            "projective_cone", base, _as_int(pos[1][0], "twist", tok), group=env.group
-        )
-    if head == "schubert":
-        datum = FiniteSchubertDatum(
-            _as_int(pos[0][0], "n", tok),
-            _as_int(pos[1][0], "d", tok),
-            _as_int_tuple(kw["j"], "j", tok),
-        )
-        if env.normalize:
-            datum = normalize_j(datum)
-        return finite_schubert_tree(datum, env.group)
-    if head == "affine":
-        datum = CoweightDatum(
-            _as_int(pos[0][0], "n", tok), _as_int_tuple(kw["mu"], "mu", tok)
-        )
-        return affine_schubert_tree(datum, env.group)
-    if head == "disjoint":
-        return Disjoint(tuple(_as_tree(v, env, t) for v, t in pos))
-    if head == "flagbundle":
-        chars = None
-        if "chars" in kw:
-            chars = _as_rows(
-                kw["chars"],
-                tok,
-                "chars must be a tuple of character tuples",
-                "chars entries must be integer tuples",
-            )
-        twists = _as_int_tuple(kw["twists"], "twists", tok) if "twists" in kw else None
-        return FlagBundle(
-            _as_tree(pos[0][0], env, tok),
-            BundleDatum(_as_int(kw["rank"], "rank", tok), chars, twists),
-            _as_int_tuple(kw["d"], "d", tok),
-        )
-    if head == "descent":
-        pres = _as_int_tuple(kw["pres"], "pres", tok)
-        if len(pres) != 2:
-            raise ScriptError("pres must be a pair", tok.line, tok.col)
-        oracle = _as_int(kw["oracle"], "oracle", tok) if "oracle" in kw else None
-        return StratifiedDescent(
-            _as_tree(pos[0][0], env, tok),
-            SheafDatum(_as_int(kw["rank"], "rank", tok), (pres[0], pres[1])),
-            _as_int_tuple(kw["d"], "d", tok),
-            oracle,
-        )
-    if head == "blowup":
-        if pos:
-            raise ScriptError("blowup takes keyword arguments only", tok.line, tok.col)
-        unknown = "X"
-        if "unknown" in kw:
-            val = kw["unknown"]
-            if not isinstance(val, Word):
-                raise ScriptError("unknown= must be a corner label", tok.line, tok.col)
-            unknown = val.name
-        split: Optional[str] = None
-        if "split" in kw:
-            val = kw["split"]
-            if not isinstance(val, Word) or val.name not in (*SPLIT_KINDS, "none"):
-                raise ScriptError(
-                    "split= must be retraction, section or none", tok.line, tok.col
-                )
-            split = None if val.name == "none" else val.name
-        known = []
-        for label in BLOWUP_CORNERS:
-            if label == unknown:
-                if label in kw:
-                    raise ScriptError(
-                        f"corner {label} is the unknown and cannot be given", tok.line, tok.col
-                    )
-                continue
-            if label not in kw:
-                raise ScriptError(f"blowup is missing corner {label}=", tok.line, tok.col)
-            known.append((label, _as_tree(kw[label], env, tok)))
-        maps: tuple[tuple[int, tuple[tuple[int, ...], ...]], ...] = ()
-        if "maps" in kw:
-            val = kw["maps"]
-            if not isinstance(val, MapLit):
-                raise ScriptError("maps= must be a [degree: matrix, ...] literal", tok.line, tok.col)
-            errors = "matrix must be a tuple of row tuples", "matrix rows must be integer tuples"
-            maps = tuple((deg, _as_rows(m, tok, *errors)) for deg, m in val.pairs)
-        return Blowup(tuple(known), unknown, split, maps)
-    # henselian: the one head left
-    return HenselianBase(_as_int(pos[0][0], "prime", tok))
+    if args is None:
+        return build(pos, kw, env, tok)
+    values = []
+    for key, convert, what in args:
+        if type(key) is int:
+            values.append(convert(pos[key][0], what, tok, env))
+        elif key in kw:
+            values.append(convert(kw[key], what, tok, env))
+        else:
+            values.append(None)  # an optional keyword left out
+    return build(env, *values)
 
 
 # ---------------------------------------------------------------------------

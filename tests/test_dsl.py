@@ -79,6 +79,28 @@ def test_violation_paths_are_slash_indexed():
     assert violations and violations[0].path == "1"
 
 
+def test_walk_lists_every_path_in_preorder():
+    shared = FlagBundle(Point(), BundleDatum(2), (1,))
+    tree = Disjoint((shared, StratifiedDescent(shared, SheafDatum(1, (1, 0)), (1,)), Point()))
+    assert [(path, type(node).__name__) for path, node in walk(tree)] == [
+        ("", "Disjoint"),
+        ("0", "FlagBundle"),
+        ("0/0", "Point"),
+        ("1", "StratifiedDescent"),
+        ("1/0", "FlagBundle"),
+        ("1/0/0", "Point"),
+        ("2", "Point"),
+    ]
+
+
+def test_walk_deep_tower_beyond_recursion_limit():
+    tree = Point()
+    for _ in range(3000):
+        tree = FlagBundle(tree, BundleDatum(2), (1,))
+    paths = [path for path, _ in walk(tree)]
+    assert paths == [""] + ["/".join("0" * k) for k in range(1, 3001)]
+
+
 def test_classify_worked_examples():
     assert classify(example_library("cusp")).tag == "B"
     assert classify(example_library("node")).tag == "C"

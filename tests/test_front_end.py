@@ -1,6 +1,6 @@
 """Script front end: tokenizer against its reference, goldens of parse,
-statement, validation and engine errors and of a shared invalid subtree,
-one validation fold per script, unreadable scripts."""
+statement, multi-fault, validation and engine errors and of a shared
+invalid subtree, one validation fold per script, unreadable scripts."""
 
 import json
 import random
@@ -87,6 +87,19 @@ def test_statement_errors_match_golden(name, capsys):
     assert code == STATEMENT_ERRORS_EXPECTED[name]["exit"]
     assert captured.err == STATEMENT_ERRORS_EXPECTED[name]["stderr"]
     assert captured.out == ""
+
+
+def test_multi_fault_precedence_matches_golden(capsys):
+    """Calls with two or three bad arguments each: which error wins (count,
+    keywords, nested call, then each argument in conversion order)."""
+    directory = GOLDEN / "multi_fault"
+    seen = {}
+    for path in sorted(directory.glob("*.slc")):
+        code = main(["run", str(path)])
+        captured = capsys.readouterr()
+        assert captured.out == "", path.name
+        seen[path.stem] = {"exit": code, "stderr": captured.err}
+    assert seen == json.loads((directory / "expected.json").read_text())
 
 
 ENGINE_ERRORS = GOLDEN / "engine_errors"
