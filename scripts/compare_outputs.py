@@ -8,8 +8,11 @@ script of the corpus with each checkout's ``src/``, and ``print``s each
 script: ``print_script(parse(text))``, once plain and once with
 ``normalize_j_sequences=True``, or the parse error.  The ``print`` mode
 catches a parse change that never reaches the output of ``run`` or
-``check``.  Prints one line per difference in stdout, stderr or exit code;
-exits 0 when there is none.
+``check``.  The ``snf`` mode prints ``repr(snf(m))`` for every ``maps=``
+matrix of each script (or the parse error), so the Smith factors and both
+transforms are compared bit for bit, not only the groups read from them.
+Prints one line per difference in stdout, stderr or exit code; exits 0
+when there is none.
 The corpus is taken from NEW_ROOT: the shipped scripts, every ``.slc``
 under ``tests/golden/``, and every script that ``bench/workloads.generate``
 makes at seed 7 (``bench/`` is imported, never written).
@@ -23,15 +26,17 @@ import tempfile
 from pathlib import Path
 
 MODES = [(command, fmt) for command in ("run", "check") for fmt in ("text", "records")]
-MODES += [("print", "plain"), ("print", "normalize-j")]
+MODES += [("print", "plain"), ("print", "normalize-j"), ("snf", "maps")]
 
 # run in one process per checkout: reads [[script, command, fmt], ...] on
 # stdin, writes [[stdout, stderr, exit code], ...] on stdout
 RUNNER = """
 import contextlib, io, json, sys, traceback
 from simploc.cli import main
+from simploc.coeff import snf
+from simploc.dsl import Disjoint, fold
 from simploc.script import ScriptError, parse, print_script
-def printed(script, fmt):
+def parsed_only(script, command, fmt):
     with open(script, encoding="utf-8") as handle:
         text = handle.read()
     try:
@@ -39,15 +44,25 @@ def printed(script, fmt):
     except (ScriptError, ValueError) as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 1
-    print(print_script(parsed), end="")
+    if command == "print":
+        print(print_script(parsed), end="")
+        return 0
+    maps = []
+    lets = Disjoint(tuple(parsed.trees.values()))
+    fold(lets, lambda node, kids: maps.extend(getattr(node, "comparison_maps", ())))
+    for degree, matrix in maps:
+        try:
+            print(f"{degree}: {snf(matrix)!r}")
+        except ValueError as exc:
+            print(f"{degree}: {exc}")
     return 0
 results = []
 for script, command, fmt in json.load(sys.stdin):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
-            if command == "print":
-                code = printed(script, fmt)
+            if command in ("print", "snf"):
+                code = parsed_only(script, command, fmt)
             else:
                 code = main([command, "--format", fmt, script])
         except Exception as exc:
@@ -104,7 +119,7 @@ def main(argv: list[str]) -> int:
         for part, a, b in zip(("stdout", "stderr", "exit code"), was, now):
             if a != b:
                 differences += 1
-                mode = f"print {fmt}" if command == "print" else f"{command} --format {fmt}"
+                mode = f"{command} {fmt}" if command in ("print", "snf") else f"{command} --format {fmt}"
                 print(f"{name} [{mode}]: {part} differs")
     print(f"{len(jobs)} outputs compared, {differences} differences")
     return 1 if differences else 0

@@ -216,15 +216,6 @@ class SmithForm:
         ]
 
 
-def _swap_rows(m: list[list[int]], i: int, j: int) -> None:
-    m[i], m[j] = m[j], m[i]
-
-
-def _swap_cols(m: list[list[int]], i: int, j: int) -> None:
-    for row in m:
-        row[i], row[j] = row[j], row[i]
-
-
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     x, next_x = 1, 0
     y, next_y = 0, 1
@@ -242,124 +233,100 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
 def snf(matrix: list[list[int]]) -> SmithForm:
     """Smith normal form of an integer matrix, with transform witnesses.
 
-    Handles empty shapes (0 x n, m x 0).  Elimination uses 2x2 extended-gcd
-    combinations: when the pivot already divides a target entry the
-    combination degenerates to a shear, which keeps cleared entries clear,
-    and otherwise it strictly shrinks the pivot, so entry growth stays tame.
+    Handles empty shapes (0 x n, m x 0).  Elimination runs on one augmented
+    matrix [[A, I_rows], [I_cols, 0]]: a row operation on the first ``rows``
+    rows also updates the left transform, the block right of A, and a column
+    operation on the first ``cols`` columns also updates the right
+    transform, the block below A; the zero block is never touched and not
+    stored.  Elimination uses 2x2 extended-gcd combinations: when the pivot
+    already divides a target entry the combination degenerates to a shear,
+    which keeps cleared entries clear, and otherwise it strictly shrinks the
+    pivot.  Transform entries can still grow to thousands of bits.
     """
     rows = len(matrix)
     cols = len(matrix[0]) if rows else 0
     for row in matrix:
         if len(row) != cols:
             raise ValueError("ragged matrix")
-    d = [[int(x) for x in row] for row in matrix]
-    left = [[1 if i == j else 0 for j in range(rows)] for i in range(rows)]
-    right = [[1 if i == j else 0 for j in range(cols)] for i in range(cols)]
+    a = [[int(x) for x in row] + [1 if i == j else 0 for j in range(rows)] for i, row in enumerate(matrix)]
+    a += [[1 if i == j else 0 for j in range(cols)] for i in range(cols)]
 
-    def negate_row(i: int) -> None:
-        for jj in range(cols):
-            d[i][jj] = -d[i][jj]
-        for jj in range(rows):
-            left[i][jj] = -left[i][jj]
-
-    def clear_entry_by_rows(k: int, i: int) -> None:
-        """Zero d[i][k] against the pivot row k, replacing the pivot by the
+    def clear_by_rows(k: int, i: int) -> None:
+        """Zero a[i][k] against the pivot row k, replacing the pivot by the
         gcd when necessary."""
-        a, b = d[k][k], d[i][k]
-        if b % a == 0:
-            q = b // a
-            for jj in range(cols):
-                d[i][jj] -= q * d[k][jj]
-            for jj in range(rows):
-                left[i][jj] -= q * left[k][jj]
+        top, low = a[k], a[i]
+        p, b = top[k], low[k]
+        if b % p == 0:
+            q = b // p
+            a[i] = [t - q * s for s, t in zip(top, low)]
             return
-        x, y, g = _xgcd(a, b)
-        ag, mbg = a // g, -(b // g)
-        for jj in range(cols):
-            rk, ri = d[k][jj], d[i][jj]
-            d[k][jj] = x * rk + y * ri
-            d[i][jj] = mbg * rk + ag * ri
-        for jj in range(rows):
-            rk, ri = left[k][jj], left[i][jj]
-            left[k][jj] = x * rk + y * ri
-            left[i][jj] = mbg * rk + ag * ri
+        x, y, g = _xgcd(p, b)
+        pg, mbg = p // g, -(b // g)
+        a[k] = [x * s + y * t for s, t in zip(top, low)]
+        a[i] = [mbg * s + pg * t for s, t in zip(top, low)]
 
-    def clear_entry_by_cols(k: int, j: int) -> None:
-        """Zero d[k][j] against the pivot column k."""
-        a, b = d[k][k], d[k][j]
-        if b % a == 0:
-            q = b // a
-            for ii in range(rows):
-                d[ii][j] -= q * d[ii][k]
-            for ii in range(cols):
-                right[ii][j] -= q * right[ii][k]
+    def shear_cols(k: int, j: int, q: int) -> None:
+        """Subtract q times column k from column j."""
+        for row in a:
+            row[j] -= q * row[k]
+
+    def clear_by_cols(k: int, j: int) -> None:
+        """Zero a[k][j] against the pivot column k."""
+        p, b = a[k][k], a[k][j]
+        if b % p == 0:
+            shear_cols(k, j, b // p)
             return
-        x, y, g = _xgcd(a, b)
-        ag, mbg = a // g, -(b // g)
-        for ii in range(rows):
-            ck, cj = d[ii][k], d[ii][j]
-            d[ii][k] = x * ck + y * cj
-            d[ii][j] = mbg * ck + ag * cj
-        for ii in range(cols):
-            ck, cj = right[ii][k], right[ii][j]
-            right[ii][k] = x * ck + y * cj
-            right[ii][j] = mbg * ck + ag * cj
+        x, y, g = _xgcd(p, b)
+        pg, mbg = p // g, -(b // g)
+        for row in a:
+            s, t = row[k], row[j]
+            row[k] = x * s + y * t
+            row[j] = mbg * s + pg * t
 
-    def diagonalize(start: int) -> int:
-        """Clear the submatrix from (start, start) on; returns the rank."""
-        k = start
+    def diagonalize(k: int) -> int:
+        """Clear the block of A from (k, k) on; returns the rank."""
         while k < min(rows, cols):
-            pivot = None
-            for i in range(k, rows):
-                for j in range(k, cols):
-                    v = d[i][j]
-                    if v and (pivot is None or abs(v) < abs(d[pivot[0]][pivot[1]])):
-                        pivot = (i, j)
+            # the smallest |entry|, first in row-major order
+            pivot = min(
+                ((abs(a[i][j]), i, j) for i in range(k, rows) for j in range(k, cols) if a[i][j]),
+                default=None,
+            )
             if pivot is None:
                 return k
-            _swap_rows(d, k, pivot[0])
-            _swap_rows(left, k, pivot[0])
-            _swap_cols(d, k, pivot[1])
-            _swap_cols(right, k, pivot[1])
-            dirty = True
-            while dirty:
-                dirty = False
+            _, pi, pj = pivot
+            a[k], a[pi] = a[pi], a[k]
+            for row in a:
+                row[k], row[pj] = row[pj], row[k]
+            while True:
                 for i in range(k + 1, rows):
-                    if d[i][k]:
-                        clear_entry_by_rows(k, i)
+                    if a[i][k]:
+                        clear_by_rows(k, i)
                 for j in range(k + 1, cols):
-                    if d[k][j]:
-                        clear_entry_by_cols(k, j)
-                        # a gcd step pollutes the cleared column below
-                        if any(d[i][k] for i in range(k + 1, rows)):
-                            dirty = True
-            if d[k][k] < 0:
-                negate_row(k)
+                    if a[k][j]:
+                        clear_by_cols(k, j)
+                # a gcd step on the columns pollutes the cleared column below
+                if not any(a[i][k] for i in range(k + 1, rows)):
+                    break
+            if a[k][k] < 0:
+                a[k] = [-v for v in a[k]]
             k += 1
         return k
 
     rank = diagonalize(0)
-    # enforce the chain d[i][i] | d[i+1][i+1]; each fix re-eliminates locally
+    # enforce the chain a[i][i] | a[i+1][i+1]; each fix re-eliminates locally
     while True:
-        bad = next(
-            (i for i in range(rank - 1) if d[i + 1][i + 1] % d[i][i] != 0),
-            None,
-        )
+        bad = next((i for i in range(rank - 1) if a[i + 1][i + 1] % a[i][i]), None)
         if bad is None:
             break
         # fold the next diagonal entry into column bad, then re-clear
-        for ii in range(rows):
-            d[ii][bad] += d[ii][bad + 1]
-        for ii in range(cols):
-            right[ii][bad] += right[ii][bad + 1]
+        shear_cols(bad + 1, bad, -1)
         diagonalize(bad)
 
-    factors = tuple(d[i][i] for i in range(rank))
     return SmithForm(
-        factors=factors,
+        factors=tuple(a[i][i] for i in range(rank)),
         rank=rank,
-        left=tuple(tuple(row) for row in left),
-        right=tuple(tuple(row) for row in right),
+        left=tuple(tuple(row[cols:]) for row in a[:rows]),
+        right=tuple(tuple(row) for row in a[rows:]),
         rows=rows,
         cols=cols,
     )
@@ -488,12 +455,11 @@ def parse_table_file(name: str, text: str) -> CoefficientTable:
             raise ValueError(f"{name}:{lineno}: expected '<degree> <free_rank> ...'")
         try:
             degree = int(parts[0])
-            free_rank = int(parts[1])
-            factors = tuple(int(p) for p in parts[2:])
+            group = FgAbGroup(int(parts[1]), tuple(int(p) for p in parts[2:]), rational)
         except ValueError as exc:
             raise ValueError(f"{name}:{lineno}: {exc}") from None
         if degree in seen:
             raise ValueError(f"{name}:{lineno}: duplicate degree {degree}")
         seen.add(degree)
-        rows.append((degree, FgAbGroup(free_rank, factors, rational)))
+        rows.append((degree, group))
     return CoefficientTable(name, tuple(rows))

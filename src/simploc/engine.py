@@ -461,7 +461,7 @@ def _les_values(
             )
         if len(matrix) != tgt or any(len(row) != src for row in matrix):
             raise InconsistentDataError(f"comparison map in degree {degree} must be {tgt} x {src}")
-        return _Phi(matrix, src, tgt, snf([list(r) for r in matrix]))
+        return _Phi(matrix, src, tgt, snf(matrix))
 
     values: dict[int, FgAbGroup] = {}
     if not live:

@@ -416,7 +416,10 @@ def _parse_expr(cur: _Cursor, env: _Env) -> Tree:
             values.append(convert(kw[key], what, tok, env))
         else:
             values.append(None)  # an optional keyword left out
-    return build(env, *values)
+    try:
+        return build(env, *values)
+    except ValueError as exc:  # a value the tree's data class refuses
+        raise ScriptError(str(exc), tok.line, tok.col) from None
 
 
 # ---------------------------------------------------------------------------
@@ -555,7 +558,10 @@ def parse(text: str, normalize_j_sequences: bool = False) -> Script:
                         orders.append(int(cur.next().text))
                     if not orders:
                         raise ScriptError("mu needs at least one order", head.line, head.col)
-                group = GroupDatum(rank, tuple(orders))
+                try:
+                    group = GroupDatum(rank, tuple(orders))
+                except ValueError as exc:
+                    raise ScriptError(str(exc), head.line, head.col) from None
             else:
                 raise ScriptError(
                     "group declaration is 'group trivial' or 'group torus <n> [mu ...]'",

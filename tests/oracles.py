@@ -76,6 +76,25 @@ def rank_over_q(matrix) -> int:
     return rank
 
 
+def det_over_q(matrix) -> Fraction:
+    """Determinant of a square matrix by elimination over the rationals."""
+    m = [[Fraction(x) for x in row] for row in matrix]
+    det = Fraction(1)
+    for col in range(len(m)):
+        pivot = next((r for r in range(col, len(m)) if m[r][col] != 0), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != col:
+            m[col], m[pivot] = m[pivot], m[col]
+            det = -det
+        det *= m[col][col]
+        for r in range(col + 1, len(m)):
+            if m[r][col] != 0:
+                f = m[r][col] / m[col][col]
+                m[r] = [v - f * p for v, p in zip(m[r], m[col])]
+    return det
+
+
 def determinantal_factors(matrix) -> list[int]:
     """Invariant factors through gcds of k x k minors (determinantal
     divisors); brute-force enumeration of all minors."""

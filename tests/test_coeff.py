@@ -20,7 +20,14 @@ from simploc.coeff import (
     tensor_with_free,
 )
 
-from .oracles import determinantal_factors, group_order_census, matmul, quotient_census, rank_over_q
+from .oracles import (
+    det_over_q,
+    determinantal_factors,
+    group_order_census,
+    matmul,
+    quotient_census,
+    rank_over_q,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -155,6 +162,43 @@ def test_snf_cokernel_matches_brute_force_3x3():
         assert s.cokernel() == FgAbGroup(m - oracle_rank, oracle_factors)
 
 
+def _unimodular(rng, n):
+    """A random n x n integer matrix of determinant +-1: row shears and sign
+    changes applied to the identity, then a row permutation."""
+    u = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    for _ in range(3 * n):
+        i, j = rng.randrange(n), rng.randrange(n)
+        if i == j:
+            u[i] = [-x for x in u[i]]
+        else:
+            q = rng.choice((-2, -1, 1, 2))
+            u[i] = [x + q * y for x, y in zip(u[i], u[j])]
+    rng.shuffle(u)
+    return u
+
+
+def test_snf_recovers_planted_chains_up_to_14x18():
+    """A = U D V with a planted divisibility chain on the diagonal of D and
+    random unimodular U, V; tall and wide shapes, full rank and deficient."""
+    rng = random.Random(20261018)
+    for trial in range(40):
+        m, n = (14, 18) if trial < 4 else (rng.randint(1, 14), rng.randint(1, 18))
+        if trial % 2:
+            m, n = n, m
+        rank = rng.randint(0, min(m, n)) if trial % 4 < 2 else min(m, n)
+        chain = []
+        for _ in range(rank):
+            chain.append((chain[-1] if chain else 1) * rng.choice((1, 1, 2, 3, 5)))
+        d = [[chain[i] if i == j and i < rank else 0 for j in range(n)] for i in range(m)]
+        a = matmul(matmul(_unimodular(rng, m), d), _unimodular(rng, n))
+        s = snf(a)
+        assert s.factors == tuple(chain) and s.rank == rank
+        left = [list(r) for r in s.left]
+        right = [list(r) for r in s.right]
+        assert matmul(matmul(left, a), right) == d
+        assert abs(det_over_q(left)) == 1 and abs(det_over_q(right)) == 1
+
+
 # ---------------------------------------------------------------------------
 # coefficient tables
 
@@ -222,3 +266,10 @@ def test_parse_table_file():
         parse_table_file("dup", "0 1\n0 2\n")
     with pytest.raises(ValueError):
         parse_table_file("short", "0\n")
+
+
+def test_parse_table_file_row_value_errors_name_the_line():
+    with pytest.raises(ValueError, match=r"^neg:2: free_rank must be non-negative$"):
+        parse_table_file("neg", "0 1\n1 -2\n")
+    with pytest.raises(ValueError, match=r"^word:1: invalid literal"):
+        parse_table_file("word", "0 one\n")

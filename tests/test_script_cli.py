@@ -293,6 +293,21 @@ def test_cli_normalize_j_flag(tmp_path, capsys):
     assert main(["run", str(path), "--normalize-j"]) == EXIT_OK
 
 
+def test_normalize_j_rebuilds_the_tower_not_the_output(capsys):
+    """The golden's j sequence is one that normalization tightens: the parsed
+    tower changes, every printed value and exit code stays."""
+    path = Path(__file__).resolve().parent / "golden" / "normalize_j" / "schubert_j.slc"
+    for fmt in ("text", "records"):
+        seen = []
+        for flags in ([], ["--normalize-j"]):
+            code = main(["run", str(path), f"--format={fmt}", *flags])
+            seen.append((capsys.readouterr().out, code))
+        assert seen[0] == seen[1]
+        assert seen[0][1] == EXIT_OK
+    text = path.read_text()
+    assert print_script(parse(text)) != print_script(parse(text, normalize_j_sequences=True))
+
+
 # ---------------------------------------------------------------------------
 # presets
 
