@@ -207,7 +207,9 @@ def run_script(script: Script, base_dir: Path, fmt: str = "text") -> tuple[str, 
     try:
         user_tables = _load_tables(script, base_dir)
     except (OSError, ValueError) as exc:
-        return f"table error: {exc}\n", EXIT_VALIDATION
+        out.text(f"table error: {exc}")
+        out.record(command="error", kind="validation", message=f"table error: {exc}")
+        return out.render(), EXIT_VALIDATION
 
     trees = script.trees
     for name, violations in validate_names(trees, script.group).items():

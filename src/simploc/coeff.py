@@ -402,7 +402,25 @@ class CoefficientTable:
         return self.degree_groups[0][0]
 
 
-_BUILTINS = ("unit", "bott", "hcminus_rational", "rational_deg0")
+_BUILTINS = {
+    table.name: table
+    for table in (
+        CoefficientTable("unit", ((0, Z),)),
+        CoefficientTable(
+            "bott",
+            ((0, Z),),
+            periodicity=Periodicity(2, "beta", two_sided=True),
+            generators=(("beta", 2),),
+        ),
+        CoefficientTable(
+            "hcminus_rational",
+            ((0, Q),),
+            periodicity=Periodicity(2, "u", two_sided=False),
+            generators=(("u", -2),),
+        ),
+        CoefficientTable("rational_deg0", ((0, Q),)),
+    )
+}
 
 
 def builtin_table(name: str) -> CoefficientTable:
@@ -413,25 +431,9 @@ def builtin_table(name: str) -> CoefficientTable:
     0, -2, -4, ... with the non-invertible degree -2 generator u.
     rational_deg0: Q in degree 0 only.
     """
-    if name == "unit":
-        return CoefficientTable("unit", ((0, Z),))
-    if name == "bott":
-        return CoefficientTable(
-            "bott",
-            ((0, Z),),
-            periodicity=Periodicity(2, "beta", two_sided=True),
-            generators=(("beta", 2),),
-        )
-    if name == "hcminus_rational":
-        return CoefficientTable(
-            "hcminus_rational",
-            ((0, Q),),
-            periodicity=Periodicity(2, "u", two_sided=False),
-            generators=(("u", -2),),
-        )
-    if name == "rational_deg0":
-        return CoefficientTable("rational_deg0", ((0, Q),))
-    raise LookupError(f"unknown builtin table {name!r} (choose from {_BUILTINS})")
+    if name not in _BUILTINS:
+        raise LookupError(f"unknown builtin table {name!r} (choose from {tuple(_BUILTINS)})")
+    return _BUILTINS[name]
 
 
 def parse_table_file(name: str, text: str) -> CoefficientTable:

@@ -64,8 +64,7 @@ class SheafDatum:
 
 @dataclass(frozen=True)
 class Point:
-    def __repr__(self) -> str:
-        return "Point()"
+    """The point: the base of every construction."""
 
 
 @dataclass(frozen=True)

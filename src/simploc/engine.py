@@ -47,7 +47,7 @@ from .group_rep import (
     OpaqueGroup,
     RepRing,
     RepRingElement,
-    elementary_symmetric_class,
+    elementary_symmetric_classes,
     representation_ring,
 )
 
@@ -246,13 +246,10 @@ def compute_degree0(tree: Tree, group: GroupDatum) -> Degree0Module:
         raise UnsupportedError(
             "class-C degree-zero ranks are computed with trivial group only"
         )
+    # over the unit table no value is nonzero above degree 0, so a square's
+    # X_0 is ker(phi_0), free: its torsion, coker(phi_0), lands in degree -1
     window = _explicit_eval(tree, builtin_table("unit"), 0)
-    value = window.value_at(0)
-    if value.invariant_factors:
-        raise InconsistentDataError(
-            "degree-zero module acquired torsion; free-module model violated"
-        )
-    return Degree0Module(value.free_rank, tree, group, window.assumed_oracles)
+    return Degree0Module(window.value_at(0).free_rank, tree, group, window.assumed_oracles)
 
 
 # ---------------------------------------------------------------------------
@@ -292,14 +289,10 @@ def ring_degree0(tree: Tree, group: GroupDatum) -> RingPresentation:
     for k, chars in enumerate(chain):
         n = len(chars)
         terms = []
-        for i in range(n + 1):
-            coeff = elementary_symmetric_class(ring, list(chars), i)
-            if i % 2 == 1:
-                coeff = -coeff
-            if coeff.is_zero():
-                continue
+        # every e_i is a sum of C(n, i) characters, so no term is zero
+        for i, coeff in enumerate(elementary_symmetric_classes(ring, chars)):
             mono = tuple((n - i) if g == k else 0 for g in range(len(chain)))
-            terms.append((mono, coeff))
+            terms.append((mono, -coeff if i % 2 else coeff))
         relations.append(PresentedPoly(tuple(terms)))
     return RingPresentation(ring, gens, tuple(relations))
 

@@ -10,7 +10,7 @@ elements to integers with convolution product.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 
 @dataclass(frozen=True)
@@ -86,37 +86,27 @@ class RepRingElement:
     Instances are immutable; arithmetic returns fresh elements.
     """
 
-    __slots__ = ("group", "_terms", "_hash")
+    __slots__ = ("group", "_terms")
 
     def __init__(self, group: GroupDatum, terms: Mapping[tuple[int, ...], int]):
         self.group = group
-        clean = {}
+        clean: dict[tuple[int, ...], int] = {}
         for coords, coeff in terms.items():
-            if coeff:
-                clean[group.character(coords)] = (
-                    clean.get(group.character(coords), 0) + coeff
-                )
+            key = group.character(coords)
+            clean[key] = clean.get(key, 0) + coeff
         self._terms = {c: v for c, v in clean.items() if v}
-        self._hash: int | None = None
 
     @property
     def terms(self) -> dict[tuple[int, ...], int]:
         return dict(self._terms)
 
-    def is_zero(self) -> bool:
-        return not self._terms
-
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, int):
-            other = RepRingElement(self.group, {self.group.character([0] * self.group.lattice_rank): other})
         if not isinstance(other, RepRingElement):
             return NotImplemented
         return self.group == other.group and self._terms == other._terms
 
     def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash((self.group, frozenset(self._terms.items())))
-        return self._hash
+        return hash((self.group, frozenset(self._terms.items())))
 
     def __add__(self, other: "RepRingElement") -> "RepRingElement":
         other = self._coerce(other)
@@ -152,34 +142,8 @@ class RepRingElement:
             return RepRingElement(self.group, {zero_char: other})
         raise TypeError(f"cannot coerce {other!r} into the representation ring")
 
-    def __repr__(self) -> str:
-        if not self._terms:
-            return "0"
-        parts = []
-        for coords in sorted(self._terms):
-            coeff = self._terms[coords]
-            mono = _monomial_str(coords, self.group)
-            if mono == "1":
-                parts.append(str(coeff))
-            elif coeff == 1:
-                parts.append(mono)
-            elif coeff == -1:
-                parts.append(f"-{mono}")
-            else:
-                parts.append(f"{coeff}*{mono}")
-        return " + ".join(parts).replace("+ -", "- ")
 
-
-def _monomial_str(coords: tuple[int, ...], group: GroupDatum) -> str:
-    factors = []
-    for i, e in enumerate(coords):
-        if e == 0:
-            continue
-        name = f"t{i + 1}" if i < group.free_rank else f"u{i - group.free_rank + 1}"
-        factors.append(name if e == 1 else f"{name}^{e}")
-    return "*".join(factors) if factors else "1"
-
-
+@dataclass(frozen=True)
 class RepRing:
     """Arithmetic handle for Z[M]: carries the group and element constructors.
 
@@ -187,12 +151,13 @@ class RepRing:
     the point; as a module over itself it is free of rank one.
     """
 
-    def __init__(self, group: GroupDatum):
-        if isinstance(group, OpaqueGroup):
+    group: GroupDatum
+
+    def __post_init__(self) -> None:
+        if isinstance(self.group, OpaqueGroup):
             raise ValueError(
                 "opaque linearly reductive groups carry no computable ring structure"
             )
-        self.group = group
 
     @property
     def zero(self) -> RepRingElement:
@@ -230,15 +195,6 @@ class RepRing:
         head = f"Z[{', '.join(gens)}]"
         return head if not rels else f"{head}/({', '.join(rels)})"
 
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, RepRing) and other.group == self.group
-
-    def __hash__(self) -> int:
-        return hash(("RepRing", self.group))
-
-    def __repr__(self) -> str:
-        return f"RepRing({self.describe()})"
-
 
 def representation_ring(group: GroupDatum) -> RepRing:
     """The representation ring Z[M] of a diagonalizable group.
@@ -249,23 +205,31 @@ def representation_ring(group: GroupDatum) -> RepRing:
     return RepRing(group)
 
 
-def elementary_symmetric_class(
-    ring: RepRing, chars: list[tuple[int, ...]], i: int
-) -> RepRingElement:
-    """e_i evaluated on the character classes: the class of the i-th exterior
-    power of the split bundle with the given weights.
+def elementary_symmetric_classes(
+    ring: RepRing, chars: Sequence[tuple[int, ...]]
+) -> list[RepRingElement]:
+    """e_0, ..., e_n evaluated on the n character classes: the classes of the
+    exterior powers of the split bundle with the given weights.
 
     Computed from the generating function prod_j (1 + x [L_j]) by keeping the
     coefficients of x as a vector of ring elements.
     """
-    if not 0 <= i <= len(chars):
-        raise ValueError(f"exterior power {i} out of range for {len(chars)} characters")
     coeffs = [ring.one] + [ring.zero] * len(chars)
     for c in chars:
         cls = ring.character_class(c)
         for k in range(len(chars), 0, -1):
             coeffs[k] = coeffs[k] + coeffs[k - 1] * cls
-    return coeffs[i]
+    return coeffs
+
+
+def elementary_symmetric_class(
+    ring: RepRing, chars: list[tuple[int, ...]], i: int
+) -> RepRingElement:
+    """e_i evaluated on the character classes: the class of the i-th exterior
+    power of the split bundle with the given weights."""
+    if not 0 <= i <= len(chars):
+        raise ValueError(f"exterior power {i} out of range for {len(chars)} characters")
+    return elementary_symmetric_classes(ring, chars)[i]
 
 
 def augment(element: RepRingElement) -> int:
