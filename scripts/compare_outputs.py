@@ -11,6 +11,9 @@ catches a parse change that never reaches the output of ``run`` or
 ``check``.  The ``snf`` mode prints ``repr(snf(m))`` for every ``maps=``
 matrix of each script (or the parse error), so the Smith factors and both
 transforms are compared bit for bit, not only the groups read from them.
+The ``tokens`` mode prints ``_tokenize_line``'s tokens (or its error) for
+every line of each script, so the tokenizer is compared token by token, not
+only through what ``parse`` makes of the tokens.
 Prints one line per difference in stdout, stderr or exit code; exits 0
 when there is none.
 The corpus is taken from NEW_ROOT: the shipped scripts, every ``.slc``
@@ -26,7 +29,7 @@ import tempfile
 from pathlib import Path
 
 MODES = [(command, fmt) for command in ("run", "check") for fmt in ("text", "records")]
-MODES += [("print", "plain"), ("print", "normalize-j"), ("snf", "maps")]
+MODES += [("print", "plain"), ("print", "normalize-j"), ("snf", "maps"), ("tokens", "lines")]
 
 # run in one process per checkout: reads [[script, command, fmt], ...] on
 # stdin, writes [[stdout, stderr, exit code], ...] on stdout
@@ -35,10 +38,17 @@ import contextlib, io, json, sys, traceback
 from simploc.cli import main
 from simploc.coeff import snf
 from simploc.dsl import Disjoint, fold
-from simploc.script import ScriptError, parse, print_script
+from simploc.script import ScriptError, _tokenize_line, parse, print_script
 def parsed_only(script, command, fmt):
     with open(script, encoding="utf-8") as handle:
         text = handle.read()
+    if command == "tokens":
+        for lineno, line in enumerate(text.splitlines(), start=1):
+            try:
+                print([tuple(tok) for tok in _tokenize_line(line, lineno)])
+            except ScriptError as exc:
+                print(exc)
+        return 0
     try:
         parsed = parse(text, normalize_j_sequences=fmt == "normalize-j")
     except (ScriptError, ValueError) as exc:
@@ -61,10 +71,10 @@ for script, command, fmt in json.load(sys.stdin):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
-            if command in ("print", "snf"):
-                code = parsed_only(script, command, fmt)
-            else:
+            if command in ("run", "check"):
                 code = main([command, "--format", fmt, script])
+            else:
+                code = parsed_only(script, command, fmt)
         except Exception as exc:
             traceback.print_exception(exc, file=err)
             code = "uncaught " + type(exc).__name__
@@ -119,7 +129,7 @@ def main(argv: list[str]) -> int:
         for part, a, b in zip(("stdout", "stderr", "exit code"), was, now):
             if a != b:
                 differences += 1
-                mode = f"{command} {fmt}" if command in ("print", "snf") else f"{command} --format {fmt}"
+                mode = f"{command} --format {fmt}" if command in ("run", "check") else f"{command} {fmt}"
                 print(f"{name} [{mode}]: {part} differs")
     print(f"{len(jobs)} outputs compared, {differences} differences")
     return 1 if differences else 0

@@ -96,6 +96,8 @@ def preset_verdict(
         fiber = fiber_override if fiber_override is not None else default
         return verify_comparison(fiber, cls, degree)
     if preset == "parshin_Fq":
+        if cls.tag != "B":
+            return NoVerdict(f"vanishing statement needs class B; tree is {cls.describe()}")
         # a fiber probe with support off degree zero withdraws the
         # concentration hypothesis
         refused = fiber_override is not None and unconcentrated(fiber_override.known)

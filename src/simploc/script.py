@@ -70,7 +70,7 @@ class ScriptError(Exception):
 
 
 class Token(NamedTuple):
-    kind: str  # IDENT INT STRING LPAREN RPAREN LBRACKET RBRACKET EQ COMMA COLON DOTDOT END
+    kind: str  # a group name of _TOKEN, or END
     text: str
     line: int
     col: int
@@ -80,24 +80,17 @@ class Token(NamedTuple):
 # frame of the generated __new__
 _token = partial(tuple.__new__, Token)
 
-# One token after optional blanks; the end of the line and a comment match
-# no named group.  IDENT also matches a first character that is a digit or
-# numeric but not a decimal digit (``²``, ``½``), rejected below.
+# One token after optional blanks (group 1, unnamed, so that the end of the
+# line and a comment match no named group); the name of the group that
+# matched is the token's kind.  A string's group holds its text without the
+# quotes.  IDENT also matches a first character that is a digit or numeric
+# but not a decimal digit (``²``, ``½``), rejected below.
 _TOKEN = re.compile(
-    r'[ \t]*(?:\Z|#|(?P<STRING>"[^"]*")|(?P<INT>-?\d+)|(?P<IDENT>[^\W\d]\w*)'
-    r"|(?P<PUNCT>\.\.|[()\[\]=,:])|(?P<OTHER>.))",
+    r'([ \t]*)(?:\Z|#|"(?P<STRING>[^"]*)"|(?P<INT>-?\d+)|(?P<IDENT>[^\W\d]\w*)'
+    r"|(?P<DOTDOT>\.\.)|(?P<LPAREN>\()|(?P<RPAREN>\))|(?P<LBRACKET>\[)|(?P<RBRACKET>\])"
+    r"|(?P<EQ>=)|(?P<COMMA>,)|(?P<COLON>:)|(?P<OTHER>.))",
     re.DOTALL,
 )
-_PUNCT = {
-    "..": "DOTDOT",
-    "(": "LPAREN",
-    ")": "RPAREN",
-    "[": "LBRACKET",
-    "]": "RBRACKET",
-    "=": "EQ",
-    ",": "COMMA",
-    ":": "COLON",
-}
 
 
 def _tokenize_line(text: str, line: int) -> list[Token]:
@@ -108,12 +101,8 @@ def _tokenize_line(text: str, line: int) -> list[Token]:
         if kind is None:
             break
         value = match.group(kind)
-        col = match.start(kind) + 1
-        if kind == "STRING":
-            value = value[1:-1]
-        elif kind == "PUNCT":
-            kind = _PUNCT[value]
-        elif kind == "OTHER" or (kind == "IDENT" and not (value[0].isalpha() or value[0] == "_")):
+        col = match.end(1) + 1  # the token's first character: a string's quote
+        if kind == "OTHER" or (kind == "IDENT" and not (value[0].isalpha() or value[0] == "_")):
             if value == '"':
                 raise ScriptError("unterminated string", line, col)
             raise ScriptError(f"unexpected character {value[0]!r}", line, col)
@@ -146,29 +135,16 @@ class _Cursor:
 # ---------------------------------------------------------------------------
 # argument values
 
-
-@dataclass(frozen=True)
-class Word:
-    name: str
-    line: int
-    col: int
-
-
-@dataclass(frozen=True)
-class MapLit:
-    pairs: tuple[tuple[int, object], ...]
-
-
-ArgValue = Union[int, tuple, Word, MapLit, Tree]
+# An argument value is an int, a tuple of values, a name (its IDENT token), a
+# map literal (a list of (degree, value) pairs) or a tree.
+ArgValue = Union[int, tuple, Token, list, Tree]
 
 
 def _parse_value(cur: _Cursor, env: "_Env") -> ArgValue:
-    tok = cur.peek()
+    tok = cur.next()
     if tok.kind == "INT":
-        cur.next()
         return int(tok.text)
     if tok.kind == "LPAREN":
-        cur.next()
         items: list[ArgValue] = []
         if cur.peek().kind != "RPAREN":
             items.append(_parse_value(cur, env))
@@ -178,8 +154,7 @@ def _parse_value(cur: _Cursor, env: "_Env") -> ArgValue:
         cur.expect("RPAREN")
         return tuple(items)
     if tok.kind == "LBRACKET":
-        cur.next()
-        pairs: list[tuple[int, object]] = []
+        pairs: list[tuple[int, ArgValue]] = []
         if cur.peek().kind != "RBRACKET":
             while True:
                 deg = int(cur.expect("INT").text)
@@ -189,36 +164,33 @@ def _parse_value(cur: _Cursor, env: "_Env") -> ArgValue:
                     break
                 cur.next()
         cur.expect("RBRACKET")
-        return MapLit(tuple(pairs))
+        return pairs
     if tok.kind == "IDENT":
-        if cur.tokens[cur.pos + 1].kind == "LPAREN":
-            return _parse_expr(cur, env)
-        cur.next()
-        return Word(tok.text, tok.line, tok.col)
+        return _parse_call(cur, env, tok) if cur.peek().kind == "LPAREN" else tok
     raise ScriptError(f"unexpected token {tok.text!r}", tok.line, tok.col)
 
 
-# Each converter takes (value, name, token, env): the argument, the name its
-# error message uses, the call head's token for the error position, and the
-# names in scope.
+# Each converter takes (value, token, name, env): the argument and its first
+# token, where an error is reported (a keyword argument's name), the name its
+# error message uses, and the names in scope.
 
 
-def _as_int(value: ArgValue, what: str, tok: Token, env: "_Env") -> int:
-    if isinstance(value, int):
+def _as_int(value: ArgValue, tok: Token, what: str, env: "_Env") -> int:
+    if type(value) is int:
         return value
     raise ScriptError(f"{what} must be an integer", tok.line, tok.col)
 
 
-def _as_int_tuple(value: ArgValue, what: str, tok: Token, env: "_Env") -> tuple[int, ...]:
-    if isinstance(value, int):
+def _as_int_tuple(value: ArgValue, tok: Token, what: str, env: "_Env") -> tuple[int, ...]:
+    if type(value) is int:
         return (value,)
-    if isinstance(value, tuple) and all(isinstance(v, int) for v in value):
+    if type(value) is tuple and all(type(v) is int for v in value):
         return value
     raise ScriptError(f"{what} must be an integer or tuple of integers", tok.line, tok.col)
 
 
-def _as_pair(value: ArgValue, what: str, tok: Token, env: "_Env") -> tuple[int, int]:
-    pair = _as_int_tuple(value, what, tok, env)
+def _as_pair(value: ArgValue, tok: Token, what: str, env: "_Env") -> tuple[int, int]:
+    pair = _as_int_tuple(value, tok, what, env)
     if len(pair) != 2:
         raise ScriptError(f"{what} must be a pair", tok.line, tok.col)
     return pair
@@ -227,20 +199,20 @@ def _as_pair(value: ArgValue, what: str, tok: Token, env: "_Env") -> tuple[int, 
 def _as_rows(value: ArgValue, tok: Token, outer: str, inner: str) -> tuple[tuple[int, ...], ...]:
     """A tuple of integer tuples (a bare integer is a 1-tuple); ``outer`` and
     ``inner`` are the messages for a bad value and a bad entry."""
-    if not isinstance(value, tuple):
+    if type(value) is not tuple:  # a Token is a tuple too
         raise ScriptError(outer, tok.line, tok.col)
     rows = []
     for row in value:
-        if isinstance(row, int):
+        if type(row) is int:
             rows.append((row,))
-        elif isinstance(row, tuple) and all(isinstance(v, int) for v in row):
+        elif type(row) is tuple and all(type(v) is int for v in row):
             rows.append(row)
         else:
             raise ScriptError(inner, tok.line, tok.col)
     return tuple(rows)
 
 
-def _as_chars(value: ArgValue, what: str, tok: Token, env: "_Env") -> tuple[tuple[int, ...], ...]:
+def _as_chars(value: ArgValue, tok: Token, what: str, env: "_Env") -> tuple[tuple[int, ...], ...]:
     outer = f"{what} must be a tuple of character tuples"
     return _as_rows(value, tok, outer, f"{what} entries must be integer tuples")
 
@@ -248,9 +220,9 @@ def _as_chars(value: ArgValue, what: str, tok: Token, env: "_Env") -> tuple[tupl
 _TREE_KINDS = get_args(Tree)
 
 
-def _as_tree(value: ArgValue, what: str, tok: Token, env: "_Env") -> Tree:
+def _as_tree(value: ArgValue, tok: Token, what: str, env: "_Env") -> Tree:
     """A tree, or the tree a name stands for; the message names no argument."""
-    if isinstance(value, Word):
+    if type(value) is Token:
         return env.resolve(value)
     if isinstance(value, _TREE_KINDS):
         return value
@@ -267,14 +239,14 @@ class _Env:
         self.names = names
         self.normalize = normalize
 
-    def resolve(self, word: Word) -> Tree:
-        if word.name in self.names:
-            return self.names[word.name]
-        if word.name == "point":
+    def resolve(self, name: Token) -> Tree:
+        if name.text in self.names:
+            return self.names[name.text]
+        if name.text == "point":
             return Point()
-        if word.name in NULLARY:
-            return example_library(word.name, group=self.group)
-        raise ScriptError(f"undefined name {word.name!r}", word.line, word.col)
+        if name.text in NULLARY:
+            return example_library(name.text, group=self.group)
+        raise ScriptError(f"undefined name {name.text!r}", name.line, name.col)
 
 
 def _library(name: str):
@@ -288,44 +260,44 @@ def _schubert(env: _Env, n: int, d: int, j: tuple[int, ...]) -> Tree:
 
 
 def _disjoint(pos: list, kw: dict, env: _Env, tok: Token) -> Tree:
-    """Each part's error is reported at the part's own token."""
-    return Disjoint(tuple(_as_tree(v, "", t, env) for v, t in pos))
+    return Disjoint(tuple(_as_tree(*arg, "", env) for arg in pos))
 
 
 def _blowup(pos: list, kw: dict, env: _Env, tok: Token) -> Tree:
-    """The corners are checked in order, each before its tree is converted."""
+    """The corners are checked in order, each before its tree is converted;
+    an error is reported at the keyword it names."""
     if pos:
         raise ScriptError("blowup takes keyword arguments only", tok.line, tok.col)
     unknown = "X"
     if "unknown" in kw:
-        val = kw["unknown"]
-        if not isinstance(val, Word):
-            raise ScriptError("unknown= must be a corner label", tok.line, tok.col)
-        unknown = val.name
+        val, key = kw["unknown"]
+        if type(val) is not Token:
+            raise ScriptError("unknown= must be a corner label", key.line, key.col)
+        unknown = val.text
     split: Optional[str] = None
     if "split" in kw:
-        val = kw["split"]
-        if not isinstance(val, Word) or val.name not in (*SPLIT_KINDS, "none"):
-            raise ScriptError("split= must be retraction, section or none", tok.line, tok.col)
-        split = None if val.name == "none" else val.name
+        val, key = kw["split"]
+        if type(val) is not Token or val.text not in (*SPLIT_KINDS, "none"):
+            raise ScriptError("split= must be retraction, section or none", key.line, key.col)
+        split = None if val.text == "none" else val.text
     known = []
     for label in BLOWUP_CORNERS:
         if label == unknown:
             if label in kw:
-                raise ScriptError(
-                    f"corner {label} is the unknown and cannot be given", tok.line, tok.col
-                )
+                key = kw[label][1]
+                message = f"corner {label} is the unknown and cannot be given"
+                raise ScriptError(message, key.line, key.col)
             continue
         if label not in kw:
             raise ScriptError(f"blowup is missing corner {label}=", tok.line, tok.col)
-        known.append((label, _as_tree(kw[label], label, tok, env)))
+        known.append((label, _as_tree(*kw[label], label, env)))
     maps: tuple[tuple[int, tuple[tuple[int, ...], ...]], ...] = ()
     if "maps" in kw:
-        val = kw["maps"]
-        if not isinstance(val, MapLit):
-            raise ScriptError("maps= must be a [degree: matrix, ...] literal", tok.line, tok.col)
+        val, key = kw["maps"]
+        if type(val) is not list:
+            raise ScriptError("maps= must be a [degree: matrix, ...] literal", key.line, key.col)
         errors = "matrix must be a tuple of row tuples", "matrix rows must be integer tuples"
-        maps = tuple((deg, _as_rows(m, tok, *errors)) for deg, m in val.pairs)
+        maps = tuple((deg, _as_rows(m, key, *errors)) for deg, m in val)
     return Blowup(tuple(known), unknown, split, maps)
 
 
@@ -368,19 +340,21 @@ _SIGNATURES: dict[str, tuple] = {
 
 def _parse_args(
     cur: _Cursor, env: _Env
-) -> tuple[list[tuple[ArgValue, Token]], dict[str, ArgValue]]:
+) -> tuple[list[tuple[ArgValue, Token]], dict[str, tuple[ArgValue, Token]]]:
+    """A call's argument list, each argument as (value, token): a keyword
+    argument's token is its name, a positional argument's the first token of
+    its value."""
     cur.expect("LPAREN")
     positional: list[tuple[ArgValue, Token]] = []
-    keywords: dict[str, ArgValue] = {}
+    keywords: dict[str, tuple[ArgValue, Token]] = {}
     if cur.peek().kind != "RPAREN":
         while True:
             tok = cur.peek()
             if tok.kind == "IDENT" and cur.tokens[cur.pos + 1].kind == "EQ":
-                cur.next()
-                cur.next()
+                cur.pos += 2
                 if tok.text in keywords:
                     raise ScriptError(f"duplicate keyword {tok.text!r}", tok.line, tok.col)
-                keywords[tok.text] = _parse_value(cur, env)
+                keywords[tok.text] = (_parse_value(cur, env), tok)
             else:
                 positional.append((_parse_value(cur, env), tok))
             if cur.peek().kind != "COMMA":
@@ -390,12 +364,10 @@ def _parse_args(
     return positional, keywords
 
 
-def _parse_expr(cur: _Cursor, env: _Env) -> Tree:
-    tok = cur.expect("IDENT")
-    head = tok.text
-    if cur.peek().kind != "LPAREN":
-        return env.resolve(Word(head, tok.line, tok.col))
+def _parse_call(cur: _Cursor, env: _Env, tok: Token) -> Tree:
+    """The call whose head ``tok`` was just read, the cursor on its ``(``."""
     pos, kw = _parse_args(cur, env)
+    head = tok.text
     if head not in _SIGNATURES:
         raise ScriptError(f"unknown constructor {head!r}", tok.line, tok.col)
     count, required, missing, optional, args, build = _SIGNATURES[head]
@@ -410,16 +382,18 @@ def _parse_expr(cur: _Cursor, env: _Env) -> Tree:
         return build(pos, kw, env, tok)
     values = []
     for key, convert, what in args:
-        if type(key) is int:
-            values.append(convert(pos[key][0], what, tok, env))
-        elif key in kw:
-            values.append(convert(kw[key], what, tok, env))
-        else:
-            values.append(None)  # an optional keyword left out
+        arg = pos[key] if type(key) is int else kw.get(key)
+        values.append(None if arg is None else convert(*arg, what, env))
     try:
         return build(env, *values)
     except ValueError as exc:  # a value the tree's data class refuses
         raise ScriptError(str(exc), tok.line, tok.col) from None
+
+
+def _parse_expr(cur: _Cursor, env: _Env) -> Tree:
+    """A ``let`` right-hand side: a call, or the tree a name stands for."""
+    tok = cur.expect("IDENT")
+    return _parse_call(cur, env, tok) if cur.peek().kind == "LPAREN" else env.resolve(tok)
 
 
 # ---------------------------------------------------------------------------
@@ -501,10 +475,10 @@ class Script:
 def _parse_command(cur: _Cursor, head: Token, names: dict[str, Tree]) -> Statement:
     """The rest of a command line: the target, then the command's keys."""
     cls, keys = _COMMANDS[head.text]
-    target = cur.expect("IDENT").text
-    if target not in names:
-        raise ScriptError(f"undefined name {target!r}", head.line, head.col)
-    values: list = [target]
+    target = cur.expect("IDENT")
+    if target.text not in names:
+        raise ScriptError(f"undefined name {target.text!r}", target.line, target.col)
+    values: list = [target.text]
     for key in keys:
         tok = cur.expect("IDENT")
         if tok.text != key:
@@ -513,12 +487,12 @@ def _parse_command(cur: _Cursor, head: Token, names: dict[str, Tree]) -> Stateme
         if key != "degrees":
             values.append(cur.expect("IDENT").text)
             continue
-        lo = int(cur.expect("INT").text)
+        lo_tok = cur.expect("INT")
+        lo = int(lo_tok.text)
         cur.expect("DOTDOT")
         hi = int(cur.expect("INT").text)
         if lo > hi:
-            tok = cur.peek()
-            raise ScriptError("empty degree range", tok.line, tok.col)
+            raise ScriptError("empty degree range", lo_tok.line, lo_tok.col)
         values += (lo, hi)
     cur.expect("END")
     return cls(*values)
@@ -552,12 +526,13 @@ def parse(text: str, normalize_j_sequences: bool = False) -> Script:
             elif kind.text == "torus":
                 rank = int(cur.expect("INT").text)
                 orders: list[int] = []
-                if cur.peek().kind == "IDENT" and cur.peek().text == "mu":
+                mu = cur.peek()
+                if mu.kind == "IDENT" and mu.text == "mu":
                     cur.next()
                     while cur.peek().kind == "INT":
                         orders.append(int(cur.next().text))
                     if not orders:
-                        raise ScriptError("mu needs at least one order", head.line, head.col)
+                        raise ScriptError("mu needs at least one order", mu.line, mu.col)
                 try:
                     group = GroupDatum(rank, tuple(orders))
                 except ValueError as exc:

@@ -1,6 +1,7 @@
 """Script front end: tokenizer against its reference, goldens of parse,
-statement, multi-fault, validation and engine errors and of a shared
-invalid subtree, one validation fold per script, unreadable scripts."""
+statement, multi-fault, validation and engine errors, of a shared invalid
+subtree and of preset refusals, one validation fold per script, unreadable
+scripts."""
 
 import json
 import random
@@ -129,6 +130,20 @@ def test_shared_invalid_subtree_matches_golden(command, fmt, capsys):
     code = main([command, str(SHARED_INVALID / "shared_invalid.slc"), f"--format={fmt}"])
     assert code == expected["exit"]
     assert capsys.readouterr().out == expected["stdout"]
+
+
+PRESET_REFUSALS = GOLDEN / "preset_refusals"
+
+
+@pytest.mark.parametrize("fmt", ["text", "records"])
+def test_parshin_preset_refuses_trees_outside_class_b(fmt, capsys):
+    """``parshin_Fq`` on a class-C and on an invalid (mixed-prime) tree is a
+    refusal with exit code 0, like the other presets."""
+    expected = json.loads((PRESET_REFUSALS / "expected.json").read_text())[f"run {fmt}"]
+    code = main(["run", str(PRESET_REFUSALS / "parshin_not_class_b.slc"), f"--format={fmt}"])
+    captured = capsys.readouterr()
+    assert code == expected["exit"] == EXIT_OK
+    assert (captured.out, captured.err) == (expected["stdout"], expected["stderr"])
 
 
 def _distinct_nodes(roots) -> int:

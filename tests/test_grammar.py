@@ -1,18 +1,20 @@
 """The script grammar as one unit: generated scripts round-trip through the
 canonical printer, the printer handles towers past the recursion limit and
-formats each distinct node once, and ``main`` on lines of grammar tokens
-ends in a documented exit code, never a traceback."""
+formats each distinct node once, ``main`` on lines of grammar tokens ends
+in a documented exit code, never a traceback, and an ill-typed call argument
+is reported at its own column."""
 
 import contextlib
 import io
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from simploc import script
 from simploc.cli import PRESET_IDS, main
 from simploc.dsl import BundleDatum, FlagBundle, Point
-from simploc.script import parse, print_script, print_tree
+from simploc.script import ScriptError, parse, print_script, print_tree
 
 NAME = st.from_regex(r"[A-Za-z_é][A-Za-z0-9_½]{0,5}", fullmatch=True).filter(
     lambda name: name not in script._RESERVED
@@ -200,3 +202,43 @@ def test_main_on_token_lines_exits_without_traceback(tmp_path_factory, header, l
         code = main([command, str(path), "--format", fmt])
     assert code in (0, 1, 2)
     assert "Traceback" not in err.getvalue() + out.getvalue()
+
+
+# per converter of a call argument: a value it accepts, and values it refuses
+CONVERTED = {
+    script._as_int: ("1", ["x", "(1, 2)", "[]", "[0: (1)]", "P(1)"]),
+    script._as_int_tuple: ("(1, 0)", ["x", "((1), 2)", "[]", "P(1)"]),
+    script._as_pair: ("(1, 0)", ["1", "(1, 2, 3)", "x", "[0: 1]"]),
+    script._as_chars: ("((0), (1))", ["1", "x", "((x))", "[]"]),
+    script._as_tree: ("point", ["1", "(point)", "[]", "nothing"]),
+}
+CONVERTED_HEADS = sorted(head for head, sig in script._SIGNATURES.items() if sig[4] is not None)
+BLANK = st.text(" \t", max_size=2)
+
+
+@pytest.mark.parametrize("head", CONVERTED_HEADS)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_an_ill_typed_argument_is_reported_at_its_column(head, data):
+    """Every argument well typed but one: the error points at that argument,
+    a keyword argument's name or a positional argument's first token."""
+    args = script._SIGNATURES[head][4]
+    bad = data.draw(st.sampled_from([key for key, _, _ in args]))
+    values = {}
+    for key, convert, _ in args:
+        good, ill = CONVERTED[convert]
+        values[key] = data.draw(st.sampled_from(ill)) if key == bad else good
+    positional = sorted(key for key in values if type(key) is int)
+    keywords = data.draw(st.permutations([key for key in values if type(key) is str]))
+    line = f"let x = {head}("
+    for n, key in enumerate(positional + keywords):
+        line += ("," if n else "") + data.draw(BLANK)
+        if key == bad:
+            col = len(line) + 1
+        if type(key) is str:
+            line += f"{key}{data.draw(BLANK)}={data.draw(BLANK)}"
+        line += values[key] + data.draw(BLANK)
+    line += ")"
+    with pytest.raises(ScriptError) as raised:
+        parse(f"group trivial\n{line}\n")
+    assert (raised.value.line, raised.value.col) == (2, col), (line, str(raised.value))
