@@ -14,6 +14,10 @@ transforms are compared bit for bit, not only the groups read from them.
 The ``tokens`` mode prints ``_tokenize_line``'s tokens (or its error) for
 every line of each script, so the tokenizer is compared token by token, not
 only through what ``parse`` makes of the tokens.
+The ``degree0`` mode prints, for every ``let`` tree of each script, the
+rank and oracle paths of ``compute_degree0`` and the result of
+``refute_membership_b`` under the script's group, or each call's error type
+and message: no command reaches a class-C ``compute_degree0``.
 Prints one line per difference in stdout, stderr or exit code; exits 0
 when there is none.
 The corpus is taken from NEW_ROOT: the shipped scripts, every ``.slc``
@@ -30,6 +34,7 @@ from pathlib import Path
 
 MODES = [(command, fmt) for command in ("run", "check") for fmt in ("text", "records")]
 MODES += [("print", "plain"), ("print", "normalize-j"), ("snf", "maps"), ("tokens", "lines")]
+MODES += [("degree0", "lets")]
 
 # run in one process per checkout: reads [[script, command, fmt], ...] on
 # stdin, writes [[stdout, stderr, exit code], ...] on stdout
@@ -38,6 +43,7 @@ import contextlib, io, json, sys, traceback
 from simploc.cli import main
 from simploc.coeff import snf
 from simploc.dsl import Disjoint, fold
+from simploc.engine import compute_degree0, refute_membership_b
 from simploc.script import ScriptError, _tokenize_line, parse, print_script
 def parsed_only(script, command, fmt):
     with open(script, encoding="utf-8") as handle:
@@ -56,6 +62,18 @@ def parsed_only(script, command, fmt):
         return 1
     if command == "print":
         print(print_script(parsed), end="")
+        return 0
+    if command == "degree0":
+        for name, tree in parsed.trees.items():
+            try:
+                module = compute_degree0(tree, parsed.group)
+                print(f"{name}: rank {module.rank}, oracles {list(module.assumed_oracles)}")
+            except Exception as exc:
+                print(f"{name}: {type(exc).__name__}: {exc}")
+            try:
+                print(f"{name}: refuted {refute_membership_b(tree, parsed.group)!r}")
+            except Exception as exc:
+                print(f"{name}: {type(exc).__name__}: {exc}")
         return 0
     maps = []
     lets = Disjoint(tuple(parsed.trees.values()))

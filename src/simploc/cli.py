@@ -404,7 +404,10 @@ def check_script(script: Script, fmt: str = "text") -> tuple[str, int]:
         if not _report_violations(out, name, violations):
             code = EXIT_VALIDATION
             continue
-        _report_class(out, name, classify(trees[name]))
+        membership = classify(trees[name])
+        _report_class(out, name, membership)
+        if membership.tag == "invalid":
+            code = EXIT_VALIDATION
     return out.render(), code
 
 

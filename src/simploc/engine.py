@@ -13,7 +13,7 @@ vanishing upgrades to per-degree isomorphisms on class B.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from math import comb
 from typing import NamedTuple, Optional, Union
 
@@ -147,7 +147,7 @@ class Degree0Module:
     @cached_property
     def basis_labels(self) -> tuple[str, ...]:
         if class_tag(self.tree) == "B":
-            return fold(self.tree, _labels_of)
+            return fold(self.tree, partial(_labels_of, self.tree))
         return tuple(f"les:{j}" for j in range(self.rank))
 
     @cached_property
@@ -158,12 +158,10 @@ class Degree0Module:
             return None
 
 
-class _MissingOracle(Exception):
-    """A descent node without an oracle rank; carries the node."""
-
-
-def _rank_of(node: Tree, kids: list[int]) -> int:
-    """One node of the class-B degree-0 fold: the rank from the children's."""
+def _rank_of(root: Tree, node: Tree, kids: list[int]) -> int:
+    """One node of the class-B degree-0 fold under ``root``: the rank from
+    the children's.  A descent without an oracle rank is named at its first
+    path from ``root``."""
     if isinstance(node, Point):
         return 1
     if isinstance(node, Disjoint):
@@ -172,7 +170,10 @@ def _rank_of(node: Tree, kids: list[int]) -> int:
         return kids[0] * sod_count(node.bundle.rank, node.d_vec)
     if isinstance(node, StratifiedDescent):
         if node.oracle_rank is None:
-            raise _MissingOracle(node)
+            raise UnderdeterminedError(
+                "rank undetermined: summand certificate only "
+                f"(descent node {first_path(root, node)} declares no oracle rank)"
+            )
         if node.oracle_rank > kids[0]:
             raise InconsistentDataError(
                 f"oracle rank {node.oracle_rank} exceeds the total-space rank {kids[0]}"
@@ -187,7 +188,7 @@ def _rank_of(node: Tree, kids: list[int]) -> int:
     return rank
 
 
-def _labels_of(node: Tree, kids: list[tuple[str, ...]]) -> tuple[str, ...]:
+def _labels_of(root: Tree, node: Tree, kids: list[tuple[str, ...]]) -> tuple[str, ...]:
     """One node of the basis-label fold over a computed class-B tree."""
     if isinstance(node, Point):
         return ("pt",)
@@ -198,24 +199,8 @@ def _labels_of(node: Tree, kids: list[tuple[str, ...]]) -> tuple[str, ...]:
         return tuple(f"{lbl}|c{j}" for lbl in kids[0] for j in range(pieces))
     if isinstance(node, StratifiedDescent):
         return tuple(f"cell{j}" for j in range(node.oracle_rank))
-    rank = _rank_of(node, [len(below) for below in kids])
+    rank = _rank_of(root, node, [len(below) for below in kids])
     return tuple(f"blowup[{node.split}]:{j}" for j in range(rank))
-
-
-def _degree0(tree: Tree) -> int:
-    """Rank of a class-B tree."""
-    try:
-        return fold(tree, _rank_of)
-    except _MissingOracle as exc:
-        raise _missing_oracle(tree, exc.args[0]) from None
-
-
-def _missing_oracle(tree: Tree, descent: Tree) -> UnderdeterminedError:
-    """The error for an oracle-free descent, named at its first path from ``tree``."""
-    return UnderdeterminedError(
-        "rank undetermined: summand certificate only "
-        f"(descent node {first_path(tree, descent)} declares no oracle rank)"
-    )
 
 
 def _computable_tag(tree: Tree, group: GroupDatum) -> str:
@@ -240,15 +225,11 @@ def compute_degree0(tree: Tree, group: GroupDatum) -> Degree0Module:
     """
     if _computable_tag(tree, group) == "B":
         oracles = children_first(classify(tree).assumed_oracles)
-        return Degree0Module(_degree0(tree), tree, group, oracles)
-    # class C: only the rank is meaningful, via the degreewise solver
-    if not group.is_trivial:
-        raise UnsupportedError(
-            "class-C degree-zero ranks are computed with trivial group only"
-        )
-    # over the unit table no value is nonzero above degree 0, so a square's
-    # X_0 is ker(phi_0), free: its torsion, coker(phi_0), lands in degree -1
-    window = _explicit_eval(tree, builtin_table("unit"), 0)
+        return Degree0Module(fold(tree, partial(_rank_of, tree)), tree, group, oracles)
+    # class C: only the rank is meaningful, via the degreewise solver; over
+    # the unit table no value is nonzero above degree 0, so a square's X_0 is
+    # ker(phi_0), free: its torsion, coker(phi_0), lands in degree -1
+    window = _explicit_eval(tree, group, builtin_table("unit"), 0)
     return Degree0Module(window.value_at(0).free_rank, tree, group, window.assumed_oracles)
 
 
@@ -419,9 +400,8 @@ def solve_blowup_les(
     square's support range at or above ``lo``; outside it X and all corners
     are zero, so a witness there would be three empty matrices.
     """
-    _computable_tag(node, group)
     witnesses: list[LesWitness] = []
-    window = _explicit_eval(node, table, hi, witnesses if collect_witnesses else None)
+    window = _explicit_eval(node, group, table, hi, witnesses if collect_witnesses else None)
     return window, [w for w in witnesses if w.degree >= lo]
 
 
@@ -463,31 +443,22 @@ def _les_values(
     above = phi(start + 1)
     for degree in range(start, min(live) - 2, -1):
         here = phi(degree)
-        if not above.tgt:
-            coker = ZERO_GROUP
-        elif above.form is None:
-            coker = FgAbGroup(above.tgt, (), rational)
-        else:
-            coker = above.form.cokernel()
-            if rational:
-                coker = FgAbGroup(coker.free_rank, (), True)
+        # X_i = coker(phi_{i+1}) + Z^ker(phi_i); a rational group drops the torsion
+        coker = above.form.cokernel() if above.form is not None else FgAbGroup(above.tgt)
         ker_rank = here.form.kernel_rank() if here.form is not None else here.src
-        kernel = FgAbGroup(ker_rank, (), rational) if ker_rank else ZERO_GROUP
-        values[degree] = direct_sum(coker, kernel)
+        x = values[degree] = FgAbGroup(coker.free_rank + ker_rank, coker.invariant_factors, rational)
         if witnesses is not None:
-            witnesses.append(_build_witness(degree, here, above, coker, ker_rank))
+            witnesses.append(_build_witness(degree, here, above, x, ker_rank))
         above = here
     return values
 
 
-def _build_witness(
-    degree: int, here: _Phi, above: _Phi, coker: FgAbGroup, ker_rank: int
-) -> LesWitness:
-    """Witness matrices in the basis coker(phi_{deg+1}) + ker(phi_deg)."""
-    if coker.invariant_factors:
+def _build_witness(degree: int, here: _Phi, above: _Phi, x: FgAbGroup, ker_rank: int) -> LesWitness:
+    """Witness matrices in the basis coker(phi_{deg+1}) + ker(phi_deg) of X."""
+    if x.invariant_factors:
         raise UnderdeterminedError("witness extraction needs torsion-free cokernels")
-    coker_rank = coker.free_rank
-    x_rank = coker_rank + ker_rank
+    x_rank = x.free_rank
+    coker_rank = x_rank - ker_rank
     # inclusion into E(Y)+E(Z): kernel basis columns, zero on the coker part
     kernel_cols = here.form.kernel_basis() if here.form is not None else _identity(here.src)
     inclusion = tuple(
@@ -563,11 +534,15 @@ def _postorder(tree: Tree) -> list[tuple[Tree, list[Tree], bool]]:
 
 def _explicit_eval(
     tree: Tree,
+    group: GroupDatum,
     table: CoefficientTable,
     hi: int,
     witnesses: Optional[list[LesWitness]] = None,
 ) -> DegreeWindow:
-    """Degreewise values of a class-C tree up to degree ``hi``, trivial group.
+    """Degreewise values of a class-C tree up to degree ``hi``.
+
+    The one gate of degreewise solving: a computable class, the trivial
+    group and a bounded-below table, checked in that order.
 
     Three passes over the distinct nodes, none recursive.  One fold lists
     them in post-order with their children.  Backwards, each node gets the
@@ -580,6 +555,12 @@ def _explicit_eval(
     Only the root becomes a dense window, with oracle paths.  ``witnesses``
     collects a root square's witnesses.
     """
+    _computable_tag(tree, group)
+    if not group.is_trivial:
+        raise UnsupportedError(
+            "class-C values are computed with trivial group only; "
+            "equivariant class-C trees get rank bounds and certificates"
+        )
     if table.min_degree is None:
         raise UnderdeterminedError(
             f"table {table.name!r} is unbounded below; degreewise solving needs "
@@ -605,10 +586,7 @@ def _explicit_eval(
             continue
         top = tops[id(node)]
         if class_b:
-            try:
-                rank = ranks[id(node)] = _rank_of(node, [ranks[id(k)] for k in kids])
-            except _MissingOracle as exc:
-                raise _missing_oracle(tree, exc.args[0]) from None
+            rank = ranks[id(node)] = _rank_of(tree, node, [ranks[id(k)] for k in kids])
             value = {d: tensor_with_free(g, rank) for d, g in table.degree_groups if d <= top}
         else:
             refusal = _refusal(node)
@@ -647,17 +625,12 @@ def compute_graded(
             provenance=(f"class-B formality over table {table.name!r}",),
             assumed_oracles=module.assumed_oracles,
         )
-    if not group.is_trivial:
-        raise UnsupportedError(
-            "class-C values are computed with trivial group only; "
-            "equivariant class-C trees get rank bounds and certificates"
-        )
     if degrees is None:
         raise ValueError("class-C evaluation needs an explicit degree window")
     lo, hi = degrees
     if lo > hi:
         raise ValueError("empty degree window")
-    window = _explicit_eval(tree, table, hi)
+    window = _explicit_eval(tree, group, table, hi)
     return GradedModuleValue(
         group=group,
         shape="explicit",
@@ -830,10 +803,7 @@ def refute_membership_b(tree: Tree, group: GroupDatum = GroupDatum(0)) -> Option
     """
     if class_tag(tree) == "B":
         return None
-    _computable_tag(tree, group)
-    if not group.is_trivial:
-        raise UnsupportedError("refutation runs with trivial group only")
-    window = _explicit_eval(tree, builtin_table("unit"), -1)
+    window = _explicit_eval(tree, group, builtin_table("unit"), -1)
     for degree in range(-1, window.lo - 1, -1):
         value = window.value_at(degree)
         if not value.is_zero:

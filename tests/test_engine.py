@@ -21,6 +21,7 @@ from simploc.engine import (
     FiberTable,
     HypothesisError,
     InconsistentDataError,
+    LesWitness,
     NoVerdict,
     UnderdeterminedError,
     UnsupportedError,
@@ -355,6 +356,52 @@ def test_les_unknown_corner_must_be_base():
     )
     with pytest.raises(UnderdeterminedError):
         compute_graded(flipped, TRIV, UNIT, degrees=(-1, 0))
+
+
+def test_every_class_c_entry_passes_one_gate():
+    # the degreewise solver's preconditions are checked in one place, so
+    # every entry refuses an unsupported group with the same message
+    from simploc.group_rep import OpaqueGroup
+
+    node = example_library("node")
+    entries = (
+        lambda group: compute_degree0(node, group),
+        lambda group: compute_graded(node, group, UNIT, degrees=(0, 0)),
+        lambda group: refute_membership_b(node, group),
+        lambda group: solve_blowup_les(node, group, UNIT, -1, 0),
+    )
+    trivial_only = (
+        "class-C values are computed with trivial group only; "
+        "equivariant class-C trees get rank bounds and certificates"
+    )
+    opaque = OpaqueGroup("irreducibles")
+    for group, message in ((T2, trivial_only), (opaque, "opaque groups admit no ring arithmetic")):
+        for entry in entries:
+            with pytest.raises(UnsupportedError) as exc:
+                entry(group)
+            assert str(exc.value) == message
+    # a class-B tree is never refuted, whatever the group
+    assert refute_membership_b(example_library("cusp"), T2) is None
+
+
+def test_witnesses_over_a_rational_table_drop_the_torsion():
+    # coker of (a, b, c) -> (2a, b) is Z/2: over Z the witness is refused
+    # (test_witnesses_refuse_a_torsion_cokernel), over Q the Z/2 vanishes
+    node = example_library("node")
+    torsion = Blowup(node.known, "X", None, ((0, ((2, 0, 0), (0, 1, 0))),))
+    window, witnesses = solve_blowup_les(
+        torsion, TRIV, builtin_table("rational_deg0"), -1, 0, collect_witnesses=True
+    )
+    assert dict(window.values) == {0: Q}
+    assert window.value_at(-1).is_zero
+    by_degree = {w.degree: w for w in witnesses}
+    assert sorted(by_degree) == [-1, 0]
+    # X_0 = ker(phi_0), spanned by the third basis vector; nothing above
+    assert by_degree[0].phi == ((2, 0, 0), (0, 1, 0))
+    assert by_degree[0].inclusion == ((0,), (0,), (1,))
+    assert by_degree[0].boundary == ((),)
+    # X_{-1} = coker(phi_0) tensor Q = 0: no free cokernel part
+    assert by_degree[-1] == LesWitness(degree=-1, phi=(), inclusion=(), boundary=())
 
 
 # ---------------------------------------------------------------------------
