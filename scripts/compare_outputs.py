@@ -8,9 +8,12 @@ script of the corpus with each checkout's ``src/``, and ``print``s each
 script: ``print_script(parse(text))``, once plain and once with
 ``normalize_j_sequences=True``, or the parse error.  The ``print`` mode
 catches a parse change that never reaches the output of ``run`` or
-``check``.  The ``snf`` mode prints ``repr(snf(m))`` for every ``maps=``
-matrix of each script (or the parse error), so the Smith factors and both
-transforms are compared bit for bit, not only the groups read from them.
+``check``.  The ``snf`` mode prints the fields ``(factors, rank, rows,
+cols, left, right)`` of ``snf(m)`` for every ``maps=`` matrix of each script
+(or the parse error), so the Smith factors and both transforms are compared
+bit for bit, not only the groups read from them; the transforms are named
+because a checkout that eliminates them on first read leaves them out of
+the repr.
 The ``tokens`` mode prints ``_tokenize_line``'s tokens (or its error) for
 every line of each script, so the tokenizer is compared token by token, not
 only through what ``parse`` makes of the tokens.
@@ -80,7 +83,8 @@ def parsed_only(script, command, fmt):
     fold(lets, lambda node, kids: maps.extend(getattr(node, "comparison_maps", ())))
     for degree, matrix in maps:
         try:
-            print(f"{degree}: {snf(matrix)!r}")
+            form = snf(matrix)
+            print(f"{degree}: {(form.factors, form.rank, form.rows, form.cols, form.left, form.right)}")
         except ValueError as exc:
             print(f"{degree}: {exc}")
     return 0

@@ -3,8 +3,9 @@
 Degreewise homotopy groups are carried as Smith-form descriptors (free rank
 plus a divisibility chain of invariant factors).  A rational flag means
 "tensor with Q": the free rank survives and torsion is annihilated.  Smith
-normal form over Z, with unimodular transforms, is the workhorse for
-kernel/cokernel extraction in the exact-sequence solver.
+normal form over Z is the workhorse for kernel/cokernel extraction in the
+exact-sequence solver; its unimodular transforms are eliminated only when
+read.
 """
 
 from __future__ import annotations
@@ -191,14 +192,31 @@ def summand_complement(total: FgAbGroup, part: FgAbGroup) -> FgAbGroup:
 @dataclass(frozen=True)
 class SmithForm:
     """L @ A @ R = D with L, R unimodular and D diagonal with a
-    divisibility chain.  factors lists the nonzero diagonal entries."""
+    divisibility chain.  factors lists the nonzero diagonal entries.
+
+    The transforms ``left`` (L) and ``right`` (R) are eliminated on first
+    read, by the same elimination run again on the augmented matrix; the
+    exact-sequence solver reads only ``cokernel`` and ``kernel_rank``."""
 
     factors: tuple[int, ...]
     rank: int
-    left: tuple[tuple[int, ...], ...]
-    right: tuple[tuple[int, ...], ...]
     rows: int
     cols: int
+    matrix: tuple[tuple[int, ...], ...]
+
+    @cached_property
+    def _transforms(self) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
+        a, _ = _eliminate(self.matrix, augmented=True)
+        left = tuple(tuple(row[self.cols :]) for row in a[: self.rows])
+        return left, tuple(tuple(row) for row in a[self.rows :])
+
+    @property
+    def left(self) -> tuple[tuple[int, ...], ...]:
+        return self._transforms[0]
+
+    @property
+    def right(self) -> tuple[tuple[int, ...], ...]:
+        return self._transforms[1]
 
     def cokernel(self) -> FgAbGroup:
         """Z^rows / column span of A."""
@@ -231,25 +249,41 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
 
 
 def snf(matrix: list[list[int]]) -> SmithForm:
-    """Smith normal form of an integer matrix, with transform witnesses.
-
-    Handles empty shapes (0 x n, m x 0).  Elimination runs on one augmented
-    matrix [[A, I_rows], [I_cols, 0]]: a row operation on the first ``rows``
-    rows also updates the left transform, the block right of A, and a column
-    operation on the first ``cols`` columns also updates the right
-    transform, the block below A; the zero block is never touched and not
-    stored.  Elimination uses 2x2 extended-gcd combinations: when the pivot
-    already divides a target entry the combination degenerates to a shear,
-    which keeps cleared entries clear, and otherwise it strictly shrinks the
-    pivot.  Transform entries can still grow to thousands of bits.
-    """
+    """Smith normal form of an integer matrix, empty shapes (0 x n, m x 0)
+    included.  Elimination runs on the bare matrix: the transforms are
+    eliminated on first read of ``left`` or ``right``."""
     rows = len(matrix)
     cols = len(matrix[0]) if rows else 0
     for row in matrix:
         if len(row) != cols:
             raise ValueError("ragged matrix")
-    a = [[int(x) for x in row] + [1 if i == j else 0 for j in range(rows)] for i, row in enumerate(matrix)]
-    a += [[1 if i == j else 0 for j in range(cols)] for i in range(cols)]
+    source = tuple(tuple(int(x) for x in row) for row in matrix)
+    a, rank = _eliminate(source, augmented=False)
+    return SmithForm(tuple(a[i][i] for i in range(rank)), rank, rows, cols, source)
+
+
+def _eliminate(matrix: tuple[tuple[int, ...], ...], augmented: bool) -> tuple[list[list[int]], int]:
+    """Diagonalize A = matrix into Smith form; returns the eliminated matrix
+    and the rank.
+
+    With ``augmented`` elimination runs on [[A, I_rows], [I_cols, 0]]: a row
+    operation on the first ``rows`` rows also updates the left transform,
+    the block right of A, and a column operation on the first ``cols``
+    columns also updates the right transform, the block below A; the zero
+    block is never touched and not stored.  Pivots and steps depend on the
+    A block only, so both runs leave it the same.  Elimination uses 2x2
+    extended-gcd combinations: when the pivot already divides a target
+    entry the combination degenerates to a shear, which keeps cleared
+    entries clear, and otherwise it strictly shrinks the pivot.  Transform
+    entries can still grow to thousands of bits.
+    """
+    rows = len(matrix)
+    cols = len(matrix[0]) if rows else 0
+    a = [list(row) for row in matrix]
+    if augmented:
+        for i, row in enumerate(a):
+            row += [1 if i == j else 0 for j in range(rows)]
+        a += [[1 if i == j else 0 for j in range(cols)] for i in range(cols)]
 
     def clear_by_rows(k: int, i: int) -> None:
         """Zero a[i][k] against the pivot row k, replacing the pivot by the
@@ -322,14 +356,7 @@ def snf(matrix: list[list[int]]) -> SmithForm:
         shear_cols(bad + 1, bad, -1)
         diagonalize(bad)
 
-    return SmithForm(
-        factors=tuple(a[i][i] for i in range(rank)),
-        rank=rank,
-        left=tuple(tuple(row[cols:]) for row in a[:rows]),
-        right=tuple(tuple(row) for row in a[rows:]),
-        rows=rows,
-        cols=cols,
-    )
+    return a, rank
 
 
 # ---------------------------------------------------------------------------

@@ -414,12 +414,14 @@ def _les_values(
     """A non-split square's base corner up to ``top`` from its corners' maps
     of nonzero degrees, solved where a corner is nonzero in degree i or
     i + 1 (else X_i is 0); each phi_i is built once, read as "above" and
-    as "here"."""
+    as "here".  Each degree's map is factored once per square, kept on the
+    node for every later evaluation of the tree."""
     live = [d for c in corners.values() for d in c if d <= top + 1]
     rational_seen = {g.rational for c in corners.values() for d, g in c.items() if d <= top + 1}
     if len(rational_seen) > 1:
         raise InconsistentDataError("corners mix integral and rational coefficients")
     rational = rational_seen.pop() if rational_seen else False
+    forms = node.__dict__.setdefault("_forms", {})
 
     def phi(degree: int) -> _Phi:
         src = _free_rank_of(corners["Y"].get(degree, ZERO_GROUP), "cover corner", degree)
@@ -434,7 +436,9 @@ def _les_values(
             )
         if len(matrix) != tgt or any(len(row) != src for row in matrix):
             raise InconsistentDataError(f"comparison map in degree {degree} must be {tgt} x {src}")
-        return _Phi(matrix, src, tgt, snf(matrix))
+        if degree not in forms:
+            forms[degree] = snf(matrix)
+        return _Phi(matrix, src, tgt, forms[degree])
 
     values: dict[int, FgAbGroup] = {}
     if not live:

@@ -10,10 +10,11 @@ DAG with two faults may report the other one first).
 
 import random
 import re
+from pathlib import Path
 
 import pytest
 
-from simploc import engine
+from simploc import coeff, engine
 from simploc.cli import EXIT_OK, main
 from simploc.coeff import builtin_table, parse_table_file
 from simploc.dsl import (
@@ -35,8 +36,10 @@ from simploc.engine import (
     compute_degree0,
     compute_graded,
     refute_membership_b,
+    solve_blowup_les,
 )
 from simploc.group_rep import GroupDatum, OpaqueGroup
+from simploc.script import parse
 
 from .oracles import explicit_window_by_path, unshare
 
@@ -246,6 +249,90 @@ def test_shared_chain_factors_each_map_once(monkeypatch):
     # one non-split square per level plus node, one nonzero map each
     assert calls == 9
     assert value.value_at(0).free_rank == 2
+
+
+def _les_script(lets: list[str], target: str) -> tuple[str, str]:
+    """The commands of scripts/node.slc on ``target``: a refutation by
+    classify, a compute over the unit table and a verdict."""
+    commands = [f"classify {target}", f"compute {target} table=unit degrees=-3..0",
+                f"verdict {target} preset=cyclotomic_Fp"]
+    return "\n".join(["group trivial", *lets, *commands]) + "\n", target
+
+
+def _random_map_lets() -> list[str]:
+    rng = random.Random(14)
+    rows = ", ".join(
+        "(" + ", ".join(str(rng.randint(-5, 5)) for _ in range(5)) + ")" for _ in range(4)
+    )
+    return [f"let x = blowup(unknown=X, split=none, Y=P(3), Z=point, E=P(3), maps=[0: ({rows})])"]
+
+
+LES_SCRIPTS = {
+    "node": ((Path(__file__).resolve().parent.parent / "scripts" / "node.slc").read_text(), "x"),
+    "random_map": _les_script(_random_map_lets(), "x"),
+    "nested_chain": _les_script(
+        ["let x0 = node"] + [
+            f"let x{k} = blowup(unknown=X, split=none, Y=x{k - 1}, Z=point, "
+            "E=disjoint(point, point), maps=[0: ((1, 0, 0), (0, 0, 0))])"
+            for k in range(1, 9)
+        ],
+        "x8",
+    ),
+}
+
+
+def _record_eliminations(monkeypatch) -> list[bool]:
+    """The ``augmented`` flag of every Smith elimination from now on."""
+    runs = []
+    real_eliminate = coeff._eliminate
+
+    def recording(matrix, augmented):
+        runs.append(augmented)
+        return real_eliminate(matrix, augmented)
+
+    monkeypatch.setattr(coeff, "_eliminate", recording)
+    return runs
+
+
+@pytest.mark.parametrize("name", sorted(LES_SCRIPTS))
+def test_les_script_factors_each_map_once(name, tmp_path, monkeypatch, capsys):
+    """classify's refutation (to degree -1) and compute (to degree 0) read
+    the same degree-0 map of every square; it is factored once, into
+    factors only."""
+    factored = []
+    real_snf = engine.snf
+
+    def counting(matrix):
+        factored.append(matrix)
+        return real_snf(matrix)
+
+    monkeypatch.setattr(engine, "snf", counting)
+    runs = _record_eliminations(monkeypatch)
+    text, target = LES_SCRIPTS[name]
+    script = tmp_path / f"{name}.slc"
+    script.write_text(text)
+    assert main(["run", str(script)]) == EXIT_OK
+    assert "class C" in capsys.readouterr().out
+    squares = [n for _, n in walk(parse(text).trees[target]) if isinstance(n, Blowup) and n.split is None]
+    maps = sum(len(n.comparison_maps) for n in squares)
+    assert len(factored) == len({id(m) for m in factored}) == maps
+    assert runs == [False] * maps
+
+
+def test_witnesses_after_a_refutation_match_a_fresh_tree(monkeypatch):
+    """Forms factored without transforms by the refutation and compute give
+    the root square's witnesses the same transforms a fresh tree does."""
+    runs = _record_eliminations(monkeypatch)
+    for name in ("node", "nested_chain"):
+        text, target = LES_SCRIPTS[name]
+        tree, fresh = parse(text).trees[target], parse(text).trees[target]
+        assert refute_membership_b(tree, TRIV) is not None
+        compute_graded(tree, TRIV, UNIT, degrees=(-3, 0))
+        assert runs and not any(runs)
+        solved = solve_blowup_les(tree, TRIV, UNIT, -3, 0, collect_witnesses=True)
+        assert any(runs)
+        assert solved[1] and solved == solve_blowup_les(fresh, TRIV, UNIT, -3, 0, collect_witnesses=True)
+        runs.clear()
 
 
 def test_refutation_rejects_opaque_groups():

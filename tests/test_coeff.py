@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from simploc import coeff
 from simploc.coeff import (
     Q,
     Z,
@@ -197,6 +198,30 @@ def test_snf_recovers_planted_chains_up_to_14x18():
         right = [list(r) for r in s.right]
         assert matmul(matmul(left, a), right) == d
         assert abs(det_over_q(left)) == 1 and abs(det_over_q(right)) == 1
+
+
+_MATRICES = st.integers(0, 7).flatmap(
+    lambda n: st.lists(st.lists(st.integers(-9, 9), min_size=n, max_size=n), max_size=7)
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_MATRICES)
+def test_snf_transforms_on_first_read_diagonalize(a):
+    """Factors and rank come from the bare matrix; the transforms, eliminated
+    on first read from the augmented one, give L A R = diag(factors) with
+    the same factors and rank, on every shape including m x 0 and 0 x 0."""
+    s = snf(a)
+    rows, cols = len(a), len(a[0]) if a else 0
+    assert (s.rows, s.cols) == (rows, cols)
+    eliminated, rank = coeff._eliminate(s.matrix, augmented=True)
+    assert (s.factors, s.rank) == (tuple(eliminated[i][i] for i in range(rank)), rank)
+    assert all(x > 0 for x in s.factors) and all(y % x == 0 for x, y in zip(s.factors, s.factors[1:]))
+    left, right = [list(r) for r in s.left], [list(r) for r in s.right]
+    assert abs(det_over_q(left)) == 1 and abs(det_over_q(right)) == 1
+    product = [[sum(left[i][k] * a[k][j] for k in range(rows)) for j in range(cols)] for i in range(rows)]
+    product = [[sum(row[k] * right[k][j] for k in range(cols)) for j in range(cols)] for row in product]
+    assert product == [[s.factors[i] if i == j and i < s.rank else 0 for j in range(cols)] for i in range(rows)]
 
 
 # ---------------------------------------------------------------------------
