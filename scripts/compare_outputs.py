@@ -25,11 +25,16 @@ Prints one line per difference in stdout, stderr or exit code; exits 0
 when there is none.
 The corpus is taken from NEW_ROOT: the shipped scripts, every ``.slc``
 under ``tests/golden/``, and every script that ``bench/workloads.generate``
-makes at seed 7 (``bench/`` is imported, never written).
+makes at seed 7 (``bench/`` is imported, never written).  Each of them
+also has a broken copy, seeded by its name: cut at a random character, or
+with one character of a random line replaced by a blank, punctuation, a
+quote, ``#``, ``;``, a letter, a digit or ``²``.  So the ``print`` and
+``tokens`` modes compare parse errors too, not only successful parses.
 """
 
 import json
 import os
+import random
 import subprocess
 import sys
 import tempfile
@@ -121,7 +126,25 @@ def corpus(root: Path, work: Path) -> dict[str, str]:
             for name, text in {f"{case.name}.slc": case.text, **case.files}.items():
                 (directory / name).write_text(text)
             scripts[f"{workload}/{i:03d}/{case.name}.slc"] = str(directory / f"{case.name}.slc")
+    for name, path in list(scripts.items()):
+        broken = work / "broken" / name
+        broken.parent.mkdir(parents=True, exist_ok=True)
+        text = _broken(Path(path).read_text(encoding="utf-8"), random.Random(name))
+        broken.write_text(text, encoding="utf-8")
+        scripts[f"broken/{name}"] = str(broken)
     return scripts
+
+
+def _broken(text: str, rng: random.Random) -> str:
+    """``text`` cut at a random character, or with one character of a random
+    line replaced (a line's end counts as a character)."""
+    if rng.randrange(2):
+        return text[: rng.randrange(len(text) + 1)]
+    lines = text.splitlines() or [""]
+    i = rng.randrange(len(lines))
+    at = rng.randrange(len(lines[i]) + 1)
+    lines[i] = lines[i][:at] + rng.choice(' \t()[]=,:.-"#;x7²') + lines[i][at + 1 :]
+    return "\n".join(lines) + "\n"
 
 
 def outputs(root: Path, jobs: list[list[str]]) -> list[list]:

@@ -11,11 +11,14 @@ and commands.  Statements:
     verdict <name> preset=<id>
     report <name> kh=<id> hcminus=<id> degrees=<a>..<b>
 
-Each command is one entry of ``_COMMANDS`` and each call head one entry of
-``_SIGNATURES``: its positional count and keywords, its arguments with their
-converters in conversion order, and the builder of its tree.  One loop
-converts the arguments of every call but ``disjoint`` and ``blowup``, which
-convert their own.  Tree expressions are library sugar (point, P(n),
+Each line is read once, by one pattern, as the list of its token texts; the
+parser refers to a token by its index on its line and finds the token's
+column only to report an error.  Each command is one entry of
+``_COMMANDS`` and each call head one entry of ``_SIGNATURES``: its
+positional count and keywords, its arguments with their converters in
+conversion order, and the builder of its tree.  One loop converts the
+arguments of every call but ``disjoint`` and ``blowup``, which convert
+their own.  Tree expressions are library sugar (point, P(n),
 Gr(n, d), Flag(n, d=(...)), hirzebruch(m), cusp, node, cone_of_P1,
 cone(expr, twist), schubert(...), affine(...)) or explicit node forms
 (disjoint, flagbundle, descent, blowup, henselian).  Parentheses always
@@ -28,7 +31,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import partial
 from typing import NamedTuple, Optional, Union, get_args
 
 from .dsl import (
@@ -70,137 +72,211 @@ class ScriptError(Exception):
 
 
 class Token(NamedTuple):
-    kind: str  # a group name of _TOKEN, or END
+    kind: str  # a kind that _kind gives, or END
     text: str
     line: int
     col: int
 
 
-# builds a Token from one (kind, text, line, col) tuple without the Python
-# frame of the generated __new__
-_token = partial(tuple.__new__, Token)
+# Optional blanks, then one token's text (group 1): a string with its quotes,
+# an integer, a name, ``..``, a comment running to the end of the line, or
+# one other character.  A name's pattern also starts at a character that is
+# numeric but not a decimal digit (``²``, ``½``), which _kind rejects.
+# Trailing blanks match nothing, so the texts tile the line up to them.
+_TEXT = re.compile(r'[ \t]*("[^"]*"|-?\d+|[^\W\d]\w*|\.\.|#.*|[^ \t])', re.DOTALL)
 
-# One token after optional blanks (group 1, unnamed, so that the end of the
-# line and a comment match no named group); the name of the group that
-# matched is the token's kind.  A string's group holds its text without the
-# quotes.  IDENT also matches a first character that is a digit or numeric
-# but not a decimal digit (``²``, ``½``), rejected below.
-_TOKEN = re.compile(
-    r'([ \t]*)(?:\Z|#|"(?P<STRING>[^"]*)"|(?P<INT>-?\d+)|(?P<IDENT>[^\W\d]\w*)'
-    r"|(?P<DOTDOT>\.\.)|(?P<LPAREN>\()|(?P<RPAREN>\))|(?P<LBRACKET>\[)|(?P<RBRACKET>\])"
-    r"|(?P<EQ>=)|(?P<COMMA>,)|(?P<COLON>:)|(?P<OTHER>.))",
-    re.DOTALL,
-)
+# the kind of each token of fixed text; the empty text is the END that
+# closes each line's list of texts
+_FIXED = {
+    "(": "LPAREN", ")": "RPAREN", "[": "LBRACKET", "]": "RBRACKET", "=": "EQ",
+    ",": "COMMA", ":": "COLON", "..": "DOTDOT", "": "END",
+}
+
+
+def _kind(text: str) -> str:
+    """The kind of a text that ``_TEXT`` matched, or END: a ``_FIXED`` kind,
+    STRING, INT, IDENT, COMMENT, or OTHER for a malformed token."""
+    kind = _FIXED.get(text)
+    if kind is not None:
+        return kind
+    first = text[0]
+    if first == '"' and len(text) > 1:
+        return "STRING"
+    if first.isdecimal() or (first == "-" and len(text) > 1):
+        return "INT"
+    if first.isalpha() or first == "_":
+        return "IDENT"
+    return "COMMENT" if first == "#" else "OTHER"
 
 
 def _tokenize_line(text: str, line: int) -> list[Token]:
+    """The tokens of a line, END last; raises at its first malformed token.
+    A string's text is given without its quotes, its column is its quote's."""
     out: list[Token] = []
-    # every position starts a match, so the matches tile the line
-    for match in _TOKEN.finditer(text):
-        kind = match.lastgroup
-        if kind is None:
+    for match in _TEXT.finditer(text):
+        value = match.group(1)
+        kind = _kind(value)
+        col = match.start(1) + 1
+        if kind == "COMMENT":
             break
-        value = match.group(kind)
-        col = match.end(1) + 1  # the token's first character: a string's quote
-        if kind == "OTHER" or (kind == "IDENT" and not (value[0].isalpha() or value[0] == "_")):
+        if kind == "OTHER":
             if value == '"':
                 raise ScriptError("unterminated string", line, col)
             raise ScriptError(f"unexpected character {value[0]!r}", line, col)
-        out.append(_token((kind, value, line, col)))
-    out.append(_token(("END", "", line, len(text) + 1)))
+        out.append(Token(kind, value[1:-1] if kind == "STRING" else value, line, col))
+    out.append(Token("END", "", line, len(text) + 1))
     return out
 
 
+class _Env:
+    """What a script has declared so far: its group (None before the
+    ``group`` line), its ``let`` names and its table names; and whether
+    Schubert j-sequences are normalized."""
+
+    def __init__(self, normalize: bool):
+        self.group: Optional[GroupDatum] = None
+        self.names: dict[str, Tree] = {}
+        self.tables: set[str] = set()
+        self.normalize = normalize
+
+
 class _Cursor:
-    def __init__(self, tokens: list[Token]):
-        self.tokens = tokens
+    """One line's token texts, END ("") last, and the index of the next.  A
+    token is referred to by its index; its column is found only for an
+    error, by scanning the line again, which reports a malformed token on
+    the line before any other error."""
+
+    def __init__(self, raw: str, line: int, env: _Env):
+        texts = _TEXT.findall(raw)
+        if texts and _kind(texts[-1]) == "COMMENT":
+            texts[-1] = ""
+        else:
+            texts.append("")
+        self.texts = texts
         self.pos = 0
+        self.raw = raw
+        self.line = line
+        self.env = env
 
-    def peek(self) -> Token:
-        return self.tokens[self.pos]
+    def peek(self) -> str:
+        return self.texts[self.pos]
 
-    def next(self) -> Token:
-        tok = self.tokens[self.pos]
-        if tok.kind != "END":
-            self.pos += 1
-        return tok
+    def next(self) -> str:
+        text = self.texts[self.pos]
+        self.pos += 1
+        return text
 
-    def expect(self, kind: str) -> Token:
-        tok = self.peek()
-        if tok.kind != kind:
-            raise ScriptError(f"expected {kind}, got {tok.kind} {tok.text!r}", tok.line, tok.col)
-        return self.next()
+    def expect(self, text: str) -> None:
+        """Step over the next token, which must be ``text`` (punctuation or END)."""
+        if self.texts[self.pos] != text:
+            self.fail(_kind(text))
+        self.pos += 1
+
+    def take(self, kind: str) -> str:
+        """The next token's text, which must be of ``kind`` (IDENT, INT or STRING)."""
+        text = self.texts[self.pos]
+        if _kind(text) != kind:
+            self.fail(kind)
+        self.pos += 1
+        return text
+
+    def token(self, index: int) -> Token:
+        return _tokenize_line(self.raw, self.line)[index]
+
+    def error(self, message: str, index: int) -> ScriptError:
+        tok = self.token(index)
+        return ScriptError(message, tok.line, tok.col)
+
+    def fail(self, kind: str) -> None:
+        tok = self.token(self.pos)
+        raise ScriptError(f"expected {kind}, got {tok.kind} {tok.text!r}", tok.line, tok.col)
+
+    def resolve(self, name: str, index: int) -> Tree:
+        """The tree a name stands for; the name's token is at ``index``."""
+        names = self.env.names
+        if name in names:
+            return names[name]
+        if name == "point":
+            return Point()
+        if name in NULLARY:
+            return example_library(name, group=self.env.group)
+        raise self.error(f"undefined name {name!r}", index)
 
 
 # ---------------------------------------------------------------------------
 # argument values
 
-# An argument value is an int, a tuple of values, a name (its IDENT token), a
-# map literal (a list of (degree, value) pairs) or a tree.
-ArgValue = Union[int, tuple, Token, list, Tree]
+# An argument value is an int, a tuple of values, a name (its text), a map
+# literal (a list of (degree, value) pairs) or a tree.
+ArgValue = Union[int, tuple, str, list, Tree]
 
 
-def _parse_value(cur: _Cursor, env: "_Env") -> ArgValue:
-    tok = cur.next()
-    if tok.kind == "INT":
-        return int(tok.text)
-    if tok.kind == "LPAREN":
+def _parse_value(cur: _Cursor) -> ArgValue:
+    index = cur.pos
+    text = cur.next()
+    if text == "(":
         items: list[ArgValue] = []
-        if cur.peek().kind != "RPAREN":
-            items.append(_parse_value(cur, env))
-            while cur.peek().kind == "COMMA":
-                cur.next()
-                items.append(_parse_value(cur, env))
-        cur.expect("RPAREN")
+        if cur.peek() != ")":
+            items.append(_parse_value(cur))
+            while cur.peek() == ",":
+                cur.pos += 1
+                items.append(_parse_value(cur))
+        cur.expect(")")
         return tuple(items)
-    if tok.kind == "LBRACKET":
+    if text == "[":
         pairs: list[tuple[int, ArgValue]] = []
-        if cur.peek().kind != "RBRACKET":
+        if cur.peek() != "]":
             while True:
-                deg = int(cur.expect("INT").text)
-                cur.expect("COLON")
-                pairs.append((deg, _parse_value(cur, env)))
-                if cur.peek().kind != "COMMA":
+                deg = int(cur.take("INT"))
+                cur.expect(":")
+                pairs.append((deg, _parse_value(cur)))
+                if cur.peek() != ",":
                     break
-                cur.next()
-        cur.expect("RBRACKET")
+                cur.pos += 1
+        cur.expect("]")
         return pairs
-    if tok.kind == "IDENT":
-        return _parse_call(cur, env, tok) if cur.peek().kind == "LPAREN" else tok
+    kind = _kind(text)
+    if kind == "INT":
+        return int(text)
+    if kind == "IDENT":
+        return _parse_call(cur, index) if cur.peek() == "(" else text
+    tok = cur.token(index)
     raise ScriptError(f"unexpected token {tok.text!r}", tok.line, tok.col)
 
 
-# Each converter takes (value, token, name, env): the argument and its first
-# token, where an error is reported (a keyword argument's name), the name its
-# error message uses, and the names in scope.
+# Each converter takes (value, index, name, cursor): the argument and the
+# index of its first token, where an error is reported (a keyword argument's
+# name), the name its error message uses, and the line's cursor.
 
 
-def _as_int(value: ArgValue, tok: Token, what: str, env: "_Env") -> int:
+def _as_int(value: ArgValue, index: int, what: str, cur: _Cursor) -> int:
     if type(value) is int:
         return value
-    raise ScriptError(f"{what} must be an integer", tok.line, tok.col)
+    raise cur.error(f"{what} must be an integer", index)
 
 
-def _as_int_tuple(value: ArgValue, tok: Token, what: str, env: "_Env") -> tuple[int, ...]:
+def _as_int_tuple(value: ArgValue, index: int, what: str, cur: _Cursor) -> tuple[int, ...]:
     if type(value) is int:
         return (value,)
     if type(value) is tuple and all(type(v) is int for v in value):
         return value
-    raise ScriptError(f"{what} must be an integer or tuple of integers", tok.line, tok.col)
+    raise cur.error(f"{what} must be an integer or tuple of integers", index)
 
 
-def _as_pair(value: ArgValue, tok: Token, what: str, env: "_Env") -> tuple[int, int]:
-    pair = _as_int_tuple(value, tok, what, env)
+def _as_pair(value: ArgValue, index: int, what: str, cur: _Cursor) -> tuple[int, int]:
+    pair = _as_int_tuple(value, index, what, cur)
     if len(pair) != 2:
-        raise ScriptError(f"{what} must be a pair", tok.line, tok.col)
+        raise cur.error(f"{what} must be a pair", index)
     return pair
 
 
-def _as_rows(value: ArgValue, tok: Token, outer: str, inner: str) -> tuple[tuple[int, ...], ...]:
+def _as_rows(
+    value: ArgValue, index: int, cur: _Cursor, outer: str, inner: str
+) -> tuple[tuple[int, ...], ...]:
     """A tuple of integer tuples (a bare integer is a 1-tuple); ``outer`` and
     ``inner`` are the messages for a bad value and a bad entry."""
-    if type(value) is not tuple:  # a Token is a tuple too
-        raise ScriptError(outer, tok.line, tok.col)
+    if type(value) is not tuple:
+        raise cur.error(outer, index)
     rows = []
     for row in value:
         if type(row) is int:
@@ -208,45 +284,29 @@ def _as_rows(value: ArgValue, tok: Token, outer: str, inner: str) -> tuple[tuple
         elif type(row) is tuple and all(type(v) is int for v in row):
             rows.append(row)
         else:
-            raise ScriptError(inner, tok.line, tok.col)
+            raise cur.error(inner, index)
     return tuple(rows)
 
 
-def _as_chars(value: ArgValue, tok: Token, what: str, env: "_Env") -> tuple[tuple[int, ...], ...]:
+def _as_chars(value: ArgValue, index: int, what: str, cur: _Cursor) -> tuple[tuple[int, ...], ...]:
     outer = f"{what} must be a tuple of character tuples"
-    return _as_rows(value, tok, outer, f"{what} entries must be integer tuples")
+    return _as_rows(value, index, cur, outer, f"{what} entries must be integer tuples")
 
 
 _TREE_KINDS = get_args(Tree)
 
 
-def _as_tree(value: ArgValue, tok: Token, what: str, env: "_Env") -> Tree:
+def _as_tree(value: ArgValue, index: int, what: str, cur: _Cursor) -> Tree:
     """A tree, or the tree a name stands for; the message names no argument."""
-    if type(value) is Token:
-        return env.resolve(value)
+    if type(value) is str:
+        return cur.resolve(value, index)
     if isinstance(value, _TREE_KINDS):
         return value
-    raise ScriptError("expected a tree expression", tok.line, tok.col)
+    raise cur.error("expected a tree expression", index)
 
 
 # ---------------------------------------------------------------------------
 # expressions
-
-
-class _Env:
-    def __init__(self, group: GroupDatum, names: dict[str, Tree], normalize: bool):
-        self.group = group
-        self.names = names
-        self.normalize = normalize
-
-    def resolve(self, name: Token) -> Tree:
-        if name.text in self.names:
-            return self.names[name.text]
-        if name.text == "point":
-            return Point()
-        if name.text in NULLARY:
-            return example_library(name.text, group=self.group)
-        raise ScriptError(f"undefined name {name.text!r}", name.line, name.col)
 
 
 def _library(name: str):
@@ -259,45 +319,45 @@ def _schubert(env: _Env, n: int, d: int, j: tuple[int, ...]) -> Tree:
     return finite_schubert_tree(normalize_j(datum) if env.normalize else datum, env.group)
 
 
-def _disjoint(pos: list, kw: dict, env: _Env, tok: Token) -> Tree:
-    return Disjoint(tuple(_as_tree(*arg, "", env) for arg in pos))
+def _disjoint(pos: list, kw: dict, cur: _Cursor, head: int) -> Tree:
+    return Disjoint(tuple(_as_tree(*arg, "", cur) for arg in pos))
 
 
-def _blowup(pos: list, kw: dict, env: _Env, tok: Token) -> Tree:
+def _blowup(pos: list, kw: dict, cur: _Cursor, head: int) -> Tree:
     """The corners are checked in order, each before its tree is converted;
     an error is reported at the keyword it names."""
     if pos:
-        raise ScriptError("blowup takes keyword arguments only", tok.line, tok.col)
+        raise cur.error("blowup takes keyword arguments only", head)
     unknown = "X"
     if "unknown" in kw:
         val, key = kw["unknown"]
-        if type(val) is not Token:
-            raise ScriptError("unknown= must be a corner label", key.line, key.col)
-        unknown = val.text
+        if type(val) is not str:
+            raise cur.error("unknown= must be a corner label", key)
+        unknown = val
     split: Optional[str] = None
     if "split" in kw:
         val, key = kw["split"]
-        if type(val) is not Token or val.text not in (*SPLIT_KINDS, "none"):
-            raise ScriptError("split= must be retraction, section or none", key.line, key.col)
-        split = None if val.text == "none" else val.text
+        if type(val) is not str or val not in (*SPLIT_KINDS, "none"):
+            raise cur.error("split= must be retraction, section or none", key)
+        split = None if val == "none" else val
     known = []
     for label in BLOWUP_CORNERS:
         if label == unknown:
             if label in kw:
-                key = kw[label][1]
-                message = f"corner {label} is the unknown and cannot be given"
-                raise ScriptError(message, key.line, key.col)
+                raise cur.error(f"corner {label} is the unknown and cannot be given", kw[label][1])
             continue
         if label not in kw:
-            raise ScriptError(f"blowup is missing corner {label}=", tok.line, tok.col)
-        known.append((label, _as_tree(*kw[label], label, env)))
+            raise cur.error(f"blowup is missing corner {label}=", head)
+        val, key = kw[label]
+        # a corner that is a name is resolved at the name, after ``label=``
+        known.append((label, _as_tree(val, key + 2 if type(val) is str else key, label, cur)))
     maps: tuple[tuple[int, tuple[tuple[int, ...], ...]], ...] = ()
     if "maps" in kw:
         val, key = kw["maps"]
         if type(val) is not list:
-            raise ScriptError("maps= must be a [degree: matrix, ...] literal", key.line, key.col)
+            raise cur.error("maps= must be a [degree: matrix, ...] literal", key)
         errors = "matrix must be a tuple of row tuples", "matrix rows must be integer tuples"
-        maps = tuple((deg, _as_rows(m, key, *errors)) for deg, m in val)
+        maps = tuple((deg, _as_rows(m, key, cur, *errors)) for deg, m in val)
     return Blowup(tuple(known), unknown, split, maps)
 
 
@@ -338,62 +398,64 @@ _SIGNATURES: dict[str, tuple] = {
 }
 
 
-def _parse_args(
-    cur: _Cursor, env: _Env
-) -> tuple[list[tuple[ArgValue, Token]], dict[str, tuple[ArgValue, Token]]]:
-    """A call's argument list, each argument as (value, token): a keyword
-    argument's token is its name, a positional argument's the first token of
-    its value."""
-    cur.expect("LPAREN")
-    positional: list[tuple[ArgValue, Token]] = []
-    keywords: dict[str, tuple[ArgValue, Token]] = {}
-    if cur.peek().kind != "RPAREN":
+def _parse_args(cur: _Cursor) -> tuple[list[tuple[ArgValue, int]], dict[str, tuple[ArgValue, int]]]:
+    """A call's argument list, each argument as (value, index): a keyword
+    argument's index is its name's, a positional argument's the index of the
+    first token of its value."""
+    cur.expect("(")
+    positional: list[tuple[ArgValue, int]] = []
+    keywords: dict[str, tuple[ArgValue, int]] = {}
+    texts = cur.texts
+    if texts[cur.pos] != ")":
         while True:
-            tok = cur.peek()
-            if tok.kind == "IDENT" and cur.tokens[cur.pos + 1].kind == "EQ":
+            index = cur.pos
+            text = texts[index]
+            # END, the one empty text, is last
+            if text and texts[index + 1] == "=" and _kind(text) == "IDENT":
                 cur.pos += 2
-                if tok.text in keywords:
-                    raise ScriptError(f"duplicate keyword {tok.text!r}", tok.line, tok.col)
-                keywords[tok.text] = (_parse_value(cur, env), tok)
+                if text in keywords:
+                    raise cur.error(f"duplicate keyword {text!r}", index)
+                keywords[text] = (_parse_value(cur), index)
             else:
-                positional.append((_parse_value(cur, env), tok))
-            if cur.peek().kind != "COMMA":
+                positional.append((_parse_value(cur), index))
+            if texts[cur.pos] != ",":
                 break
-            cur.next()
-    cur.expect("RPAREN")
+            cur.pos += 1
+    cur.expect(")")
     return positional, keywords
 
 
-def _parse_call(cur: _Cursor, env: _Env, tok: Token) -> Tree:
-    """The call whose head ``tok`` was just read, the cursor on its ``(``."""
-    pos, kw = _parse_args(cur, env)
-    head = tok.text
+def _parse_call(cur: _Cursor, index: int) -> Tree:
+    """The call whose head, at ``index``, was just read, the cursor on its ``(``."""
+    pos, kw = _parse_args(cur)
+    head = cur.texts[index]
     if head not in _SIGNATURES:
-        raise ScriptError(f"unknown constructor {head!r}", tok.line, tok.col)
+        raise cur.error(f"unknown constructor {head!r}", index)
     count, required, missing, optional, args, build = _SIGNATURES[head]
     if count is not None and len(pos) != count:
-        raise ScriptError(f"{head} takes {count} positional argument(s)", tok.line, tok.col)
+        raise cur.error(f"{head} takes {count} positional argument(s)", index)
     extra = set(kw).difference(required + optional)
     if extra:
-        raise ScriptError(f"{head} got unexpected keyword(s) {sorted(extra)}", tok.line, tok.col)
+        raise cur.error(f"{head} got unexpected keyword(s) {sorted(extra)}", index)
     if not set(required).issubset(kw):
-        raise ScriptError(missing, tok.line, tok.col)
+        raise cur.error(missing, index)
     if args is None:
-        return build(pos, kw, env, tok)
+        return build(pos, kw, cur, index)
     values = []
     for key, convert, what in args:
         arg = pos[key] if type(key) is int else kw.get(key)
-        values.append(None if arg is None else convert(*arg, what, env))
+        values.append(None if arg is None else convert(*arg, what, cur))
     try:
-        return build(env, *values)
+        return build(cur.env, *values)
     except ValueError as exc:  # a value the tree's data class refuses
-        raise ScriptError(str(exc), tok.line, tok.col) from None
+        raise cur.error(str(exc), index) from None
 
 
-def _parse_expr(cur: _Cursor, env: _Env) -> Tree:
+def _parse_expr(cur: _Cursor) -> Tree:
     """A ``let`` right-hand side: a call, or the tree a name stands for."""
-    tok = cur.expect("IDENT")
-    return _parse_call(cur, env, tok) if cur.peek().kind == "LPAREN" else env.resolve(tok)
+    index = cur.pos
+    name = cur.take("IDENT")
+    return _parse_call(cur, index) if cur.peek() == "(" else cur.resolve(name, index)
 
 
 # ---------------------------------------------------------------------------
@@ -472,29 +534,28 @@ class Script:
         return tuple(s for s in self.statements if type(s) in _COMMAND_WORDS)
 
 
-def _parse_command(cur: _Cursor, head: Token, names: dict[str, Tree]) -> Statement:
+def _parse_command(cur: _Cursor, head: str) -> Statement:
     """The rest of a command line: the target, then the command's keys."""
-    cls, keys = _COMMANDS[head.text]
-    target = cur.expect("IDENT")
-    if target.text not in names:
-        raise ScriptError(f"undefined name {target.text!r}", target.line, target.col)
-    values: list = [target.text]
+    cls, keys = _COMMANDS[head]
+    target = cur.take("IDENT")
+    if target not in cur.env.names:
+        raise cur.error(f"undefined name {target!r}", cur.pos - 1)
+    values: list = [target]
     for key in keys:
-        tok = cur.expect("IDENT")
-        if tok.text != key:
-            raise ScriptError(f"expected {key}=", tok.line, tok.col)
-        cur.expect("EQ")
+        if cur.take("IDENT") != key:
+            raise cur.error(f"expected {key}=", cur.pos - 1)
+        cur.expect("=")
         if key != "degrees":
-            values.append(cur.expect("IDENT").text)
+            values.append(cur.take("IDENT"))
             continue
-        lo_tok = cur.expect("INT")
-        lo = int(lo_tok.text)
-        cur.expect("DOTDOT")
-        hi = int(cur.expect("INT").text)
+        lo_index = cur.pos
+        lo = int(cur.take("INT"))
+        cur.expect("..")
+        hi = int(cur.take("INT"))
         if lo > hi:
-            raise ScriptError("empty degree range", lo_tok.line, lo_tok.col)
+            raise cur.error("empty degree range", lo_index)
         values += (lo, hi)
-    cur.expect("END")
+    cur.expect("")
     return cls(*values)
 
 
@@ -503,84 +564,83 @@ _RESERVED = {*NULLARY, *_SIGNATURES, *_COMMANDS, *SPLIT_KINDS, "none"} | {
 }
 
 
+def _parse_line(cur: _Cursor) -> Optional[Statement]:
+    """The statement of a line whose head is at index 0; None for a blank
+    line and for the group declaration, which is kept on the env."""
+    if cur.peek() == "":
+        return None
+    head = cur.take("IDENT")
+    env = cur.env
+
+    if head == "group":
+        if env.group is not None:
+            raise cur.error("duplicate group declaration", 0)
+        kind = cur.take("IDENT")
+        if kind == "trivial":
+            env.group = GroupDatum(0)
+        elif kind == "torus":
+            rank = int(cur.take("INT"))
+            orders: list[int] = []
+            if cur.peek() == "mu":
+                cur.pos += 1
+                while _kind(cur.peek()) == "INT":
+                    orders.append(int(cur.next()))
+                if not orders:  # at ``mu``, after group torus <n>
+                    raise cur.error("mu needs at least one order", 3)
+            try:
+                env.group = GroupDatum(rank, tuple(orders))
+            except ValueError as exc:
+                raise cur.error(str(exc), 0) from None
+        else:
+            message = "group declaration is 'group trivial' or 'group torus <n> [mu ...]'"
+            raise cur.error(message, 1)
+        cur.expect("")
+        return None
+
+    if env.group is None:
+        raise cur.error("the group must be declared before any other statement", 0)
+    if head == "table":
+        name = cur.take("IDENT")
+        cur.expect("=")
+        path = cur.take("STRING")[1:-1]
+        cur.expect("")
+        if name in env.tables:
+            raise cur.error(f"duplicate table name {name!r}", 0)
+        env.tables.add(name)
+        return TableDecl(name, path)
+    if head == "let":
+        name = cur.take("IDENT")
+        if name in _RESERVED:
+            raise cur.error(f"{name!r} is reserved", 1)
+        if name in env.names:
+            raise cur.error(f"duplicate name {name!r}", 1)
+        cur.expect("=")
+        tree = _parse_expr(cur)
+        cur.expect("")
+        env.names[name] = tree
+        return LetDecl(name, tree)
+    if head in _COMMANDS:
+        return _parse_command(cur, head)
+    raise cur.error(f"unknown statement {head!r}", 0)
+
+
 def parse(text: str, normalize_j_sequences: bool = False) -> Script:
     """Parse a construction script; deterministic, with positioned errors."""
-    group: Optional[GroupDatum] = None
+    env = _Env(normalize_j_sequences)
     statements: list[Statement] = []
-    names: dict[str, Tree] = {}
-    table_names: set[str] = set()
-
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        tokens = _tokenize_line(raw, lineno)
-        cur = _Cursor(tokens)
-        if cur.peek().kind == "END":
-            continue
-        head = cur.expect("IDENT")
-
-        if head.text == "group":
-            if group is not None:
-                raise ScriptError("duplicate group declaration", head.line, head.col)
-            kind = cur.expect("IDENT")
-            if kind.text == "trivial":
-                group = GroupDatum(0)
-            elif kind.text == "torus":
-                rank = int(cur.expect("INT").text)
-                orders: list[int] = []
-                mu = cur.peek()
-                if mu.kind == "IDENT" and mu.text == "mu":
-                    cur.next()
-                    while cur.peek().kind == "INT":
-                        orders.append(int(cur.next().text))
-                    if not orders:
-                        raise ScriptError("mu needs at least one order", mu.line, mu.col)
-                try:
-                    group = GroupDatum(rank, tuple(orders))
-                except ValueError as exc:
-                    raise ScriptError(str(exc), head.line, head.col) from None
-            else:
-                raise ScriptError(
-                    "group declaration is 'group trivial' or 'group torus <n> [mu ...]'",
-                    kind.line,
-                    kind.col,
-                )
-            cur.expect("END")
-            continue
-
-        if group is None:
-            raise ScriptError(
-                "the group must be declared before any other statement", head.line, head.col
-            )
-        env = _Env(group, names, normalize_j_sequences)
-
-        if head.text == "table":
-            name = cur.expect("IDENT").text
-            cur.expect("EQ")
-            path = cur.expect("STRING").text
-            cur.expect("END")
-            if name in table_names:
-                raise ScriptError(f"duplicate table name {name!r}", head.line, head.col)
-            table_names.add(name)
-            statements.append(TableDecl(name, path))
-        elif head.text == "let":
-            name_tok = cur.expect("IDENT")
-            name = name_tok.text
-            if name in _RESERVED:
-                raise ScriptError(f"{name!r} is reserved", name_tok.line, name_tok.col)
-            if name in names:
-                raise ScriptError(f"duplicate name {name!r}", name_tok.line, name_tok.col)
-            cur.expect("EQ")
-            tree = _parse_expr(cur, env)
-            cur.expect("END")
-            names[name] = tree
-            statements.append(LetDecl(name, tree))
-        elif head.text in _COMMANDS:
-            statements.append(_parse_command(cur, head, names))
-        else:
-            raise ScriptError(f"unknown statement {head.text!r}", head.line, head.col)
-
-    if group is None:
+        try:
+            statement = _parse_line(_Cursor(raw, lineno, env))
+        except (ValueError, RecursionError):
+            # an integer too long to convert or an expression nested too
+            # deeply; a malformed token on the line is reported first
+            _tokenize_line(raw, lineno)
+            raise
+        if statement is not None:
+            statements.append(statement)
+    if env.group is None:
         raise ScriptError("script declares no group", 1, 1)
-    return Script(group, tuple(statements))
+    return Script(env.group, tuple(statements))
 
 
 # ---------------------------------------------------------------------------
