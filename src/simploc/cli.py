@@ -187,14 +187,6 @@ def _load_tables(script: Script, base_dir: Path) -> dict[str, CoefficientTable]:
     return tables
 
 
-def _resolve_table(
-    name: str, user_tables: dict[str, CoefficientTable]
-) -> CoefficientTable:
-    if name in user_tables:
-        return user_tables[name]
-    return builtin_table(name)
-
-
 def _report_violations(out: _Output, name: str, violations: list[Violation]) -> bool:
     """Print a tree's violations; True when it is well formed."""
     for v in violations:
@@ -249,18 +241,16 @@ def _run_classify(
     out: _Output, cmd: ClassifyCmd, trees: dict[str, Tree], group: GroupDatum
 ) -> None:
     tree = trees[cmd.target]
-    cls = classify(tree)
-    evidence = None
-    if cls.tag == "C" and group.is_trivial:
-        # a nonzero negative-degree value certifies that no splitting exists
-        try:
-            evidence = refute_membership_b(tree, group)
-        except EngineError:
-            evidence = None
+    try:
+        # a nonzero negative-degree value certifies that no splitting exists;
+        # the engine refuses every group and class it cannot search
+        evidence = refute_membership_b(tree, group)
+    except EngineError:
+        evidence = None
     refuted = None
     if evidence is not None:
         refuted = {"degree": evidence.degree, **_group_fields(evidence.value)}
-    _report_class(out, cmd.target, cls, b_refuted=refuted)
+    _report_class(out, cmd.target, classify(tree), b_refuted=refuted)
     if evidence is not None:
         out.text(f"  not in class B: {evidence.describe()}")
 
@@ -287,7 +277,7 @@ def _run_compute(
     user_tables: dict[str, CoefficientTable],
 ) -> None:
     tree = trees[cmd.target]
-    table = _resolve_table(cmd.table, user_tables)
+    table = user_tables.get(cmd.table) or builtin_table(cmd.table)
     cls = classify(tree)
     value = compute_graded(tree, group, table, degrees=(cmd.lo, cmd.hi))
     flags = list(value.provenance) + [f"oracle:{p}" for p in value.assumed_oracles]
@@ -358,8 +348,8 @@ def _run_report(
         raise HypothesisError(
             f"report needs class B; {cmd.target} is {cls.describe()}"
         )
-    kh_table = _resolve_table(cmd.kh, user_tables)
-    hcm_table = _resolve_table(cmd.hcminus, user_tables)
+    kh_table = user_tables.get(cmd.kh) or builtin_table(cmd.kh)
+    hcm_table = user_tables.get(cmd.hcminus) or builtin_table(cmd.hcminus)
     kh_value = compute_graded(tree, group, kh_table)
     split = positive_split_verdict(cls, cmd.hi) if cmd.hi >= 1 else None
     out.text(

@@ -33,16 +33,6 @@ class BundleDatum:
     split_characters: Optional[tuple[tuple[int, ...], ...]] = None
     twist_labels: Optional[tuple[int, ...]] = None
 
-    def __post_init__(self) -> None:
-        if self.split_characters is not None:
-            object.__setattr__(
-                self,
-                "split_characters",
-                tuple(tuple(c) for c in self.split_characters),
-            )
-        if self.twist_labels is not None:
-            object.__setattr__(self, "twist_labels", tuple(self.twist_labels))
-
 
 @dataclass(frozen=True)
 class SheafDatum:
@@ -55,11 +45,6 @@ class SheafDatum:
 
     generic_rank: int
     presentation_ranks: tuple[int, int]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "presentation_ranks", tuple(self.presentation_ranks)
-        )
 
 
 @dataclass(frozen=True)
@@ -80,9 +65,6 @@ class HenselianBase:
 class Disjoint:
     children: tuple["Tree", ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "children", tuple(self.children))
-
 
 @dataclass(frozen=True)
 class FlagBundle:
@@ -91,9 +73,6 @@ class FlagBundle:
     base: "Tree"
     bundle: BundleDatum
     d_vec: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "d_vec", tuple(self.d_vec))
 
 
 @dataclass(frozen=True)
@@ -109,9 +88,6 @@ class StratifiedDescent:
     sheaf: SheafDatum
     d_vec: tuple[int, ...]
     oracle_rank: Optional[int] = None
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "d_vec", tuple(self.d_vec))
 
 
 @dataclass(frozen=True)
@@ -387,17 +363,12 @@ def validate_names(trees: dict[str, Tree], group: GroupDatum) -> dict[str, list[
 
 @dataclass(frozen=True)
 class MembershipClass:
-    """Classification outcome.  Tag strength: B > C > C_p; invalid when the
-    tree mixes henselian residue characteristics."""
+    """Classification outcome: B, C, C_p, or invalid when the tree mixes
+    henselian residue characteristics."""
 
     tag: str
     prime: Optional[int] = None
     assumed_oracles: tuple[str, ...] = ()
-
-    _STRENGTH = {"B": 3, "C": 2, "C_p": 1, "invalid": 0}
-
-    def at_least(self, tag: str) -> bool:
-        return self._STRENGTH[self.tag] >= self._STRENGTH[tag]
 
     def describe(self) -> str:
         if self.tag == "C_p":

@@ -80,7 +80,6 @@ def sod_count(rank: int, d_vec: tuple[int, ...]) -> int:
     """Number of pieces in the flag-bundle decomposition: the multinomial
     rank! / (d_1! ... d_m! (rank - sum d)!), i.e. the product of binomials
     along the Grassmannian-bundle tower."""
-    d_vec = tuple(d_vec)
     if rank < 1:
         raise ValueError("rank must be positive")
     if any(d < 1 for d in d_vec):
@@ -708,7 +707,7 @@ def verify_comparison(
     if tree_class.tag == "invalid":
         return NoVerdict("tree classification is invalid")
     if fiber_on_bg.all_vanish:
-        if tree_class.at_least("C"):
+        if tree_class.tag in ("B", "C"):
             return Verdict(
                 kind="equivalence_all_degrees",
                 hypotheses=(

@@ -27,7 +27,6 @@ class GroupDatum:
     def __post_init__(self) -> None:
         if self.free_rank < 0:
             raise ValueError("free_rank must be non-negative")
-        object.__setattr__(self, "finite_orders", tuple(self.finite_orders))
         for order in self.finite_orders:
             if order < 2:
                 raise ValueError(f"finite factor order {order} must be >= 2")

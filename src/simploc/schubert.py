@@ -32,7 +32,6 @@ class FiniteSchubertDatum:
     j_seq: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "j_seq", tuple(self.j_seq))
         j = self.j_seq
         if len(j) != self.n + 1:
             raise ValueError(f"j sequence must have length n+1 = {self.n + 1}")
@@ -140,7 +139,6 @@ class CoweightDatum:
     mu: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "mu", tuple(self.mu))
         if len(self.mu) != self.n:
             raise ValueError(f"coweight must have {self.n} entries")
         for a, b in zip(self.mu, self.mu[1:]):

@@ -128,10 +128,14 @@ def _tokenize_line(text: str, line: int) -> list[Token]:
     return out
 
 
-class _Env:
-    """What a script has declared so far: its group (None before the
-    ``group`` line), its ``let`` names and its table names; and whether
-    Schubert j-sequences are normalized."""
+class _Cursor:
+    """A script's parse state.  What the script has declared so far: its
+    group (None before the ``group`` line), its ``let`` names and its table
+    names; whether Schubert j-sequences are normalized; and the line being
+    read, as its token texts, END ("") last, and the index of the next.  A
+    token is referred to by its index; its column is found only for an
+    error, by scanning the line again, which reports a malformed token on
+    the line before any other error."""
 
     def __init__(self, normalize: bool):
         self.group: Optional[GroupDatum] = None
@@ -139,14 +143,8 @@ class _Env:
         self.tables: set[str] = set()
         self.normalize = normalize
 
-
-class _Cursor:
-    """One line's token texts, END ("") last, and the index of the next.  A
-    token is referred to by its index; its column is found only for an
-    error, by scanning the line again, which reports a malformed token on
-    the line before any other error."""
-
-    def __init__(self, raw: str, line: int, env: _Env):
+    def start(self, raw: str, line: int) -> None:
+        """Aim the cursor at the first token of ``raw``, the script's line ``line``."""
         texts = _TEXT.findall(raw)
         if texts and _kind(texts[-1]) == "COMMENT":
             texts[-1] = ""
@@ -156,7 +154,6 @@ class _Cursor:
         self.pos = 0
         self.raw = raw
         self.line = line
-        self.env = env
 
     def peek(self) -> str:
         return self.texts[self.pos]
@@ -193,13 +190,12 @@ class _Cursor:
 
     def resolve(self, name: str, index: int) -> Tree:
         """The tree a name stands for; the name's token is at ``index``."""
-        names = self.env.names
-        if name in names:
-            return names[name]
+        if name in self.names:
+            return self.names[name]
         if name == "point":
             return Point()
         if name in NULLARY:
-            return example_library(name, group=self.env.group)
+            return example_library(name, group=self.group)
         raise self.error(f"undefined name {name!r}", index)
 
 
@@ -211,30 +207,33 @@ class _Cursor:
 ArgValue = Union[int, tuple, str, list, Tree]
 
 
+def _items(cur: _Cursor, close: str, item) -> list:
+    """What ``item(cur)`` reads from each entry of a comma-separated list,
+    up to and over the token ``close``."""
+    out = []
+    if cur.texts[cur.pos] != close:
+        out.append(item(cur))
+        while cur.texts[cur.pos] == ",":
+            cur.pos += 1
+            out.append(item(cur))
+    cur.expect(close)
+    return out
+
+
+def _parse_pair(cur: _Cursor) -> tuple[int, ArgValue]:
+    """One ``degree: value`` entry of a map literal."""
+    deg = int(cur.take("INT"))
+    cur.expect(":")
+    return deg, _parse_value(cur)
+
+
 def _parse_value(cur: _Cursor) -> ArgValue:
     index = cur.pos
     text = cur.next()
     if text == "(":
-        items: list[ArgValue] = []
-        if cur.peek() != ")":
-            items.append(_parse_value(cur))
-            while cur.peek() == ",":
-                cur.pos += 1
-                items.append(_parse_value(cur))
-        cur.expect(")")
-        return tuple(items)
+        return tuple(_items(cur, ")", _parse_value))
     if text == "[":
-        pairs: list[tuple[int, ArgValue]] = []
-        if cur.peek() != "]":
-            while True:
-                deg = int(cur.take("INT"))
-                cur.expect(":")
-                pairs.append((deg, _parse_value(cur)))
-                if cur.peek() != ",":
-                    break
-                cur.pos += 1
-        cur.expect("]")
-        return pairs
+        return _items(cur, "]", _parse_pair)
     kind = _kind(text)
     if kind == "INT":
         return int(text)
@@ -311,12 +310,12 @@ def _as_tree(value: ArgValue, index: int, what: str, cur: _Cursor) -> Tree:
 
 def _library(name: str):
     """The builder of a library entry from its converted parameters."""
-    return lambda env, *params: example_library(name, *params, group=env.group)
+    return lambda cur, *params: example_library(name, *params, group=cur.group)
 
 
-def _schubert(env: _Env, n: int, d: int, j: tuple[int, ...]) -> Tree:
+def _schubert(cur: _Cursor, n: int, d: int, j: tuple[int, ...]) -> Tree:
     datum = FiniteSchubertDatum(n, d, j)
-    return finite_schubert_tree(normalize_j(datum) if env.normalize else datum, env.group)
+    return finite_schubert_tree(normalize_j(datum) if cur.normalize else datum, cur.group)
 
 
 def _disjoint(pos: list, kw: dict, cur: _Cursor, head: int) -> Tree:
@@ -366,9 +365,9 @@ NULLARY = ("point", "cusp", "node", "cone_of_P1")
 # keywords it requires, the message when one of them is missing, the other
 # keywords it accepts, its arguments in conversion order as (positional
 # index or keyword, converter, name in messages), and the builder called
-# with the env and the converted arguments (None for an optional keyword
+# with the cursor and the converted arguments (None for an optional keyword
 # left out).  Without an argument list the builder converts its own
-# arguments from (positional, keywords, env, head token).
+# arguments from (positional, keywords, cursor, head token).
 _SIGNATURES: dict[str, tuple] = {
     "P": (1, (), "", (), ((0, _as_int, "dimension"),), _library("projective_space")),
     "Gr": (2, (), "", (), ((0, _as_int, "n"), (1, _as_int, "d")), _library("grassmannian")),
@@ -381,20 +380,20 @@ _SIGNATURES: dict[str, tuple] = {
                  ((0, _as_int, "n"), (1, _as_int, "d"), ("j", _as_int_tuple, "j")), _schubert),
     "affine": (1, ("mu",), "affine needs mu=(...)", (),
                ((0, _as_int, "n"), ("mu", _as_int_tuple, "mu")),
-               lambda env, n, mu: affine_schubert_tree(CoweightDatum(n, mu), env.group)),
+               lambda cur, n, mu: affine_schubert_tree(CoweightDatum(n, mu), cur.group)),
     "disjoint": (None, (), "", (), None, _disjoint),
     "flagbundle": (1, ("rank", "d"), "flagbundle needs rank= and d=", ("chars", "twists"),
                    (("chars", _as_chars, "chars"), ("twists", _as_int_tuple, "twists"),
                     (0, _as_tree, "base"), ("rank", _as_int, "rank"), ("d", _as_int_tuple, "d")),
-                   lambda env, chars, twists, base, rank, d:
+                   lambda cur, chars, twists, base, rank, d:
                    FlagBundle(base, BundleDatum(rank, chars, twists), d)),
     "descent": (1, ("rank", "pres", "d"), "descent needs rank=, pres= and d=", ("oracle",),
                 (("pres", _as_pair, "pres"), ("oracle", _as_int, "oracle"),
                  (0, _as_tree, "base"), ("rank", _as_int, "rank"), ("d", _as_int_tuple, "d")),
-                lambda env, pres, oracle, base, rank, d:
+                lambda cur, pres, oracle, base, rank, d:
                 StratifiedDescent(base, SheafDatum(rank, pres), d, oracle)),
     "blowup": (None, (), "", ("unknown", "split", *BLOWUP_CORNERS, "maps"), None, _blowup),
-    "henselian": (1, (), "", (), ((0, _as_int, "prime"),), lambda env, p: HenselianBase(p)),
+    "henselian": (1, (), "", (), ((0, _as_int, "prime"),), lambda cur, p: HenselianBase(p)),
 }
 
 
@@ -405,23 +404,20 @@ def _parse_args(cur: _Cursor) -> tuple[list[tuple[ArgValue, int]], dict[str, tup
     cur.expect("(")
     positional: list[tuple[ArgValue, int]] = []
     keywords: dict[str, tuple[ArgValue, int]] = {}
-    texts = cur.texts
-    if texts[cur.pos] != ")":
-        while True:
-            index = cur.pos
-            text = texts[index]
-            # END, the one empty text, is last
-            if text and texts[index + 1] == "=" and _kind(text) == "IDENT":
-                cur.pos += 2
-                if text in keywords:
-                    raise cur.error(f"duplicate keyword {text!r}", index)
-                keywords[text] = (_parse_value(cur), index)
-            else:
-                positional.append((_parse_value(cur), index))
-            if texts[cur.pos] != ",":
-                break
-            cur.pos += 1
-    cur.expect(")")
+
+    def argument(cur: _Cursor) -> None:
+        index = cur.pos
+        text = cur.texts[index]
+        # END, the one empty text, is last
+        if text and cur.texts[index + 1] == "=" and _kind(text) == "IDENT":
+            cur.pos += 2
+            if text in keywords:
+                raise cur.error(f"duplicate keyword {text!r}", index)
+            keywords[text] = (_parse_value(cur), index)
+        else:
+            positional.append((_parse_value(cur), index))
+
+    _items(cur, ")", argument)
     return positional, keywords
 
 
@@ -446,7 +442,7 @@ def _parse_call(cur: _Cursor, index: int) -> Tree:
         arg = pos[key] if type(key) is int else kw.get(key)
         values.append(None if arg is None else convert(*arg, what, cur))
     try:
-        return build(cur.env, *values)
+        return build(cur, *values)
     except ValueError as exc:  # a value the tree's data class refuses
         raise cur.error(str(exc), index) from None
 
@@ -538,7 +534,7 @@ def _parse_command(cur: _Cursor, head: str) -> Statement:
     """The rest of a command line: the target, then the command's keys."""
     cls, keys = _COMMANDS[head]
     target = cur.take("IDENT")
-    if target not in cur.env.names:
+    if target not in cur.names:
         raise cur.error(f"undefined name {target!r}", cur.pos - 1)
     values: list = [target]
     for key in keys:
@@ -566,18 +562,17 @@ _RESERVED = {*NULLARY, *_SIGNATURES, *_COMMANDS, *SPLIT_KINDS, "none"} | {
 
 def _parse_line(cur: _Cursor) -> Optional[Statement]:
     """The statement of a line whose head is at index 0; None for a blank
-    line and for the group declaration, which is kept on the env."""
+    line and for the group declaration, which is kept on the cursor."""
     if cur.peek() == "":
         return None
     head = cur.take("IDENT")
-    env = cur.env
 
     if head == "group":
-        if env.group is not None:
+        if cur.group is not None:
             raise cur.error("duplicate group declaration", 0)
         kind = cur.take("IDENT")
         if kind == "trivial":
-            env.group = GroupDatum(0)
+            cur.group = GroupDatum(0)
         elif kind == "torus":
             rank = int(cur.take("INT"))
             orders: list[int] = []
@@ -588,7 +583,7 @@ def _parse_line(cur: _Cursor) -> Optional[Statement]:
                 if not orders:  # at ``mu``, after group torus <n>
                     raise cur.error("mu needs at least one order", 3)
             try:
-                env.group = GroupDatum(rank, tuple(orders))
+                cur.group = GroupDatum(rank, tuple(orders))
             except ValueError as exc:
                 raise cur.error(str(exc), 0) from None
         else:
@@ -597,27 +592,27 @@ def _parse_line(cur: _Cursor) -> Optional[Statement]:
         cur.expect("")
         return None
 
-    if env.group is None:
+    if cur.group is None:
         raise cur.error("the group must be declared before any other statement", 0)
     if head == "table":
         name = cur.take("IDENT")
         cur.expect("=")
         path = cur.take("STRING")[1:-1]
         cur.expect("")
-        if name in env.tables:
+        if name in cur.tables:
             raise cur.error(f"duplicate table name {name!r}", 0)
-        env.tables.add(name)
+        cur.tables.add(name)
         return TableDecl(name, path)
     if head == "let":
         name = cur.take("IDENT")
         if name in _RESERVED:
             raise cur.error(f"{name!r} is reserved", 1)
-        if name in env.names:
+        if name in cur.names:
             raise cur.error(f"duplicate name {name!r}", 1)
         cur.expect("=")
         tree = _parse_expr(cur)
         cur.expect("")
-        env.names[name] = tree
+        cur.names[name] = tree
         return LetDecl(name, tree)
     if head in _COMMANDS:
         return _parse_command(cur, head)
@@ -626,11 +621,12 @@ def _parse_line(cur: _Cursor) -> Optional[Statement]:
 
 def parse(text: str, normalize_j_sequences: bool = False) -> Script:
     """Parse a construction script; deterministic, with positioned errors."""
-    env = _Env(normalize_j_sequences)
+    cur = _Cursor(normalize_j_sequences)
     statements: list[Statement] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
+        cur.start(raw, lineno)
         try:
-            statement = _parse_line(_Cursor(raw, lineno, env))
+            statement = _parse_line(cur)
         except (ValueError, RecursionError):
             # an integer too long to convert or an expression nested too
             # deeply; a malformed token on the line is reported first
@@ -638,9 +634,9 @@ def parse(text: str, normalize_j_sequences: bool = False) -> Script:
             raise
         if statement is not None:
             statements.append(statement)
-    if env.group is None:
+    if cur.group is None:
         raise ScriptError("script declares no group", 1, 1)
-    return Script(env.group, tuple(statements))
+    return Script(cur.group, tuple(statements))
 
 
 # ---------------------------------------------------------------------------
