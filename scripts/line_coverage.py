@@ -1,25 +1,27 @@
 #!/usr/bin/env python3
-"""Statement census: which statements of ``src/simploc`` does the test suite never run?
+r"""Statement census: which statements of ``src/simploc`` does the test suite never run?
 
     python scripts/line_coverage.py [--check]
 
 Runs the tests under ``tests/`` in this process with a ``sys.settrace``
 line collector and prints, for each ``src/simploc`` module, the statements
-no test reached.  A statement is an ``ast.stmt``: docstrings are not
-counted, and neither are ``global`` and ``nonlocal``, which compile to no
-code.  A simple statement is reached when any of its lines runs; a ``def``,
-``class`` or other compound statement when its header (decorators
-included) runs.  Tracing is armed again before each test, because CPython
-turns it off for good when the trace function raises (as it does when a
-test recurses to the interpreter's limit).  Each test during which tracing
-was lost is named: a statement reached only after the loss reads as
-unreached.  With ``--check`` the script exits 1 when a statement is
-unreached or a test fails.  Takes about 2-3 minutes; it is stdlib and
-pytest only.
+no test reached, and its counted lines: the lines that are neither blank
+nor a comment alone, as ``grep -cv '^\s*\(#.*\)\?$'`` counts them.  A
+statement is an ``ast.stmt``: docstrings are not counted, and neither are
+``global`` and ``nonlocal``, which compile to no code.  A simple
+statement is reached when any of its lines runs; a ``def``, ``class`` or
+other compound statement when its header (decorators included) runs.
+Tracing is armed again before each test, because CPython turns it off for
+good when the trace function raises (as it does when a test recurses to
+the interpreter's limit).  Each test during which tracing was lost is
+named: a statement reached only after the loss reads as unreached.  With
+``--check`` the script exits 1 when a statement is unreached or a test
+fails.  Takes about 2-3 minutes; it is stdlib and pytest only.
 """
 
 import ast
 import os
+import re
 import sys
 from pathlib import Path
 
@@ -27,6 +29,8 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "simploc"
+# a line that is blank or a comment alone; ``\s`` as grep reads it
+UNCOUNTED = re.compile(r"[ \t\r\f\v]*(#.*)?")
 
 
 def statements(source: str) -> list[tuple[int, range]]:
@@ -105,19 +109,24 @@ def main(argv: list[str]) -> int:
     finally:
         sys.settrace(None)
 
-    total = unreached = 0
+    total = unreached = lines_total = 0
     for path in files:
         source = path.read_text()
         lines = source.splitlines()
         hits = census.hits[str(path)]
         counted = statements(source)
         missed = [first for first, reach in counted if not hits.intersection(reach)]
+        code_lines = sum(not UNCOUNTED.fullmatch(line) for line in source.split("\n"))
         total += len(counted)
         unreached += len(missed)
-        print(f"{path.relative_to(ROOT)}: {len(missed)} of {len(counted)} statements unreached")
+        lines_total += code_lines
+        print(
+            f"{path.relative_to(ROOT)}: {len(missed)} of {len(counted)} statements unreached, "
+            f"{code_lines} counted lines"
+        )
         for first in missed:
             print(f"  {first}: {lines[first - 1].strip()}")
-    print(f"total: {unreached} of {total} statements unreached")
+    print(f"total: {unreached} of {total} statements unreached, {lines_total} counted lines")
     for nodeid in census.lost:
         print(f"tracing lost during {nodeid}")
     return 1 if check and (unreached or tests_failed) else 0

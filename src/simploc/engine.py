@@ -411,10 +411,10 @@ def _les_values(
     witnesses: Optional[list[LesWitness]],
 ) -> dict[int, FgAbGroup]:
     """A non-split square's base corner up to ``top`` from its corners' maps
-    of nonzero degrees, solved where a corner is nonzero in degree i or
-    i + 1 (else X_i is 0); each phi_i is built once, read as "above" and
-    as "here".  Each degree's map is factored once per square, kept on the
-    node for every later evaluation of the tree."""
+    of nonzero degrees, solved only where a corner is nonzero in degree i or
+    i + 1 (elsewhere X_i is 0); each phi_i is built once.  Each degree's map
+    is factored once per square, kept on the node for every later evaluation
+    of the tree."""
     live = [d for c in corners.values() for d in c if d <= top + 1]
     rational_seen = {g.rational for c in corners.values() for d, g in c.items() if d <= top + 1}
     if len(rational_seen) > 1:
@@ -440,19 +440,18 @@ def _les_values(
         return _Phi(matrix, src, tgt, forms[degree])
 
     values: dict[int, FgAbGroup] = {}
-    if not live:
-        return values
-    start = min(top, max(live))
-    above = phi(start + 1)
-    for degree in range(start, min(live) - 2, -1):
-        here = phi(degree)
+    here, last = None, None
+    # descending, so a missing map is met in the same order as by a walk
+    # over every degree: the gaps skipped read no map
+    for degree in sorted({e for d in live for e in (d, d - 1) if e <= top}, reverse=True):
+        above = here if degree + 1 == last else phi(degree + 1)
+        here, last = phi(degree), degree
         # X_i = coker(phi_{i+1}) + Z^ker(phi_i); a rational group drops the torsion
         coker = above.form.cokernel() if above.form is not None else FgAbGroup(above.tgt)
         ker_rank = here.form.kernel_rank() if here.form is not None else here.src
         x = values[degree] = FgAbGroup(coker.free_rank + ker_rank, coker.invariant_factors, rational)
         if witnesses is not None:
             witnesses.append(_build_witness(degree, here, above, x, ker_rank))
-        above = here
     return values
 
 

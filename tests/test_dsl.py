@@ -1,4 +1,6 @@
 import random
+from dataclasses import fields, is_dataclass
+from pathlib import Path
 
 import pytest
 
@@ -18,9 +20,11 @@ from simploc.dsl import (
     walk,
 )
 from simploc.group_rep import GroupDatum
-from simploc.script import parse, print_tree
+from simploc.schubert import FiniteSchubertDatum, affine_schubert_tree, finite_schubert_tree
+from simploc.script import ScriptError, parse, print_tree
 
 from .oracles import random_class_b_tree
+from .test_schubert import all_j_sequences, dominant_coweights
 
 TRIV = GroupDatum(0)
 T2 = GroupDatum(2)
@@ -260,3 +264,49 @@ def test_print_parse_round_trip_fuzzed():
         header = "group trivial" if group.is_trivial else "group torus 2"
         script = parse(f"{header}\nlet x = {print_tree(tree)}\n")
         assert script.trees["x"] == tree
+
+
+def _lists_in(value) -> list:
+    """Every list held by a node, datum or group, through its fields and
+    tuples; a node shared in the tree is entered once."""
+    found, seen, stack = [], set(), [value]
+    while stack:
+        item = stack.pop()
+        if type(item) is list:
+            found.append(item)
+        elif type(item) is tuple:
+            stack.extend(item)
+        elif is_dataclass(item) and id(item) not in seen:
+            seen.add(id(item))
+            stack.extend(getattr(item, f.name) for f in fields(item))
+    return found
+
+
+def test_builders_make_nodes_of_tuples():
+    """Node and datum constructors keep what they are given, so every
+    builder must pass tuples: a list field would break hashing."""
+    for group in (TRIV, GroupDatum(4), GroupDatum(1, (3,))):
+        for name, params in LIBRARY_ENTRIES:
+            tree = example_library(name, *params, group=group)
+            assert _lists_in(tree) == [], (name, group)
+            hash(tree)
+    root = Path(__file__).resolve().parent.parent
+    parsed = 0
+    for path in sorted(root.glob("scripts/*.slc")) + sorted(root.glob("tests/golden/**/*.slc")):
+        try:
+            script = parse(path.read_text())
+        except ScriptError:
+            continue
+        parsed += 1
+        assert _lists_in(script.group) == [], path.name
+        for name, tree in script.trees.items():
+            assert _lists_in(tree) == [], (path.name, name)
+    assert parsed >= 20
+    for n in range(1, 5):
+        for group in (TRIV, GroupDatum(n)):
+            for d in range(n + 1):
+                for j in all_j_sequences(n, d):
+                    tree = finite_schubert_tree(FiniteSchubertDatum(n, d, j), group)
+                    assert _lists_in(tree) == [], (n, d, j)
+            for datum in dominant_coweights(n, 4):
+                assert _lists_in(affine_schubert_tree(datum, group)) == [], datum

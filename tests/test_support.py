@@ -51,6 +51,24 @@ def test_wide_window_reads_only_the_support(corner_reads):
     assert value.value_at(100000).is_zero and value.value_at(-1).free_rank == 1
 
 
+def test_a_gap_between_table_rows_is_not_walked(corner_reads):
+    # every corner is zero strictly between degrees -1000000 and -1, so the
+    # square reads degrees 1, 0, -1 and -1000000, where its map is missing
+    table = parse_table_file("gap", "0 1\n-1000000 1\n")
+    with pytest.raises(engine.UnderdeterminedError, match="missing comparison map in degree -1000000$"):
+        compute_graded(example_library("node"), TRIV, table, degrees=(-3, 0))
+    assert len(corner_reads) <= 15
+
+
+def test_les_witnesses_skip_the_degrees_of_a_gap():
+    maps = ((0, ((1, 1, 1), (1, 1, 1))), (-40, ((1, 0, 2), (0, 1, 1))))
+    square = Blowup(example_library("node").known, "X", None, maps)
+    table = parse_table_file("gap", "0 1\n-40 1\n")
+    window, witnesses = engine.solve_blowup_les(square, TRIV, table, -45, 0, collect_witnesses=True)
+    assert [w.degree for w in witnesses] == [0, -1, -40, -41]
+    assert [window.value_at(d).free_rank for d in (0, -1, -2, -39, -40, -41)] == [2, 1, 0, 0, 1, 0]
+
+
 def test_depth_1000_chain_and_its_refutation():
     tree = nested_chain(1000)
     value = compute_graded(tree, TRIV, UNIT, degrees=(-2, 0))
