@@ -396,8 +396,8 @@ def solve_blowup_les(
     and reads the unknown X off as coker(phi_{i+1}) + ker(phi_i).  Only the
     base corner can be solved for: the stored comparison matrices present
     the restriction map out of the cover and center.  Witnesses cover the
-    square's support range at or above ``lo``; outside it X and all corners
-    are zero, so a witness there would be three empty matrices.
+    degrees i >= ``lo`` where a corner is nonzero in degree i or i + 1; in
+    any other, X and all corners are zero: its witness would be empty.
     """
     witnesses: list[LesWitness] = []
     window = _explicit_eval(node, group, table, hi, witnesses if collect_witnesses else None)

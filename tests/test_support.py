@@ -52,8 +52,9 @@ def test_wide_window_reads_only_the_support(corner_reads):
 
 
 def test_a_gap_between_table_rows_is_not_walked(corner_reads):
-    # every corner is zero strictly between degrees -1000000 and -1, so the
-    # square reads degrees 1, 0, -1 and -1000000, where its map is missing
+    # every corner is zero strictly between degrees -1000000 and 0, so the
+    # square reads degrees 1, 0 and -1, then -999999 and -1000000, where its
+    # map is missing
     table = parse_table_file("gap", "0 1\n-1000000 1\n")
     with pytest.raises(engine.UnderdeterminedError, match="missing comparison map in degree -1000000$"):
         compute_graded(example_library("node"), TRIV, table, degrees=(-3, 0))
