@@ -220,8 +220,7 @@ class SmithForm:
 
     def cokernel(self) -> FgAbGroup:
         """Z^rows / column span of A."""
-        torsion = tuple(f for f in self.factors if f != 1)
-        return FgAbGroup(self.rows - self.rank, torsion)
+        return FgAbGroup(self.rows - self.rank, self.factors)
 
     def kernel_rank(self) -> int:
         return self.cols - self.rank
@@ -234,7 +233,9 @@ class SmithForm:
         ]
 
 
-def _xgcd(a: int, b: int) -> tuple[int, int, int]:
+def _xgcd(a: int, b: int) -> tuple[int, int, int, int]:
+    """The unimodular 2x2 step (x, y, -b/g, a/g) with x*a + y*b = g = gcd(a, b)
+    > 0: it sends (a, b) to (g, 0)."""
     x, next_x = 1, 0
     y, next_y = 0, 1
     g, next_g = a, b
@@ -245,7 +246,7 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
         g, next_g = next_g, g - q * next_g
     if g < 0:
         x, y, g = -x, -y, -g
-    return x, y, g
+    return x, y, -(b // g), a // g
 
 
 def snf(matrix: list[list[int]]) -> SmithForm:
@@ -294,10 +295,9 @@ def _eliminate(matrix: tuple[tuple[int, ...], ...], augmented: bool) -> tuple[li
             q = b // p
             a[i] = [t - q * s for s, t in zip(top, low)]
             return
-        x, y, g = _xgcd(p, b)
-        pg, mbg = p // g, -(b // g)
+        x, y, u, v = _xgcd(p, b)
         a[k] = [x * s + y * t for s, t in zip(top, low)]
-        a[i] = [mbg * s + pg * t for s, t in zip(top, low)]
+        a[i] = [u * s + v * t for s, t in zip(top, low)]
 
     def shear_cols(k: int, j: int, q: int) -> None:
         """Subtract q times column k from column j."""
@@ -310,12 +310,11 @@ def _eliminate(matrix: tuple[tuple[int, ...], ...], augmented: bool) -> tuple[li
         if b % p == 0:
             shear_cols(k, j, b // p)
             return
-        x, y, g = _xgcd(p, b)
-        pg, mbg = p // g, -(b // g)
+        x, y, u, v = _xgcd(p, b)
         for row in a:
             s, t = row[k], row[j]
             row[k] = x * s + y * t
-            row[j] = mbg * s + pg * t
+            row[j] = u * s + v * t
 
     def diagonalize(k: int) -> int:
         """Clear the block of A from (k, k) on; returns the rank."""

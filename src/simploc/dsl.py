@@ -109,13 +109,7 @@ class Blowup:
     def __post_init__(self) -> None:
         known = tuple(sorted(dict(self.known).items(), key=lambda kv: BLOWUP_CORNERS.index(kv[0])))
         object.__setattr__(self, "known", known)
-        maps = tuple(
-            sorted(
-                (int(d), tuple(tuple(int(x) for x in row) for row in m))
-                for d, m in self.comparison_maps
-            )
-        )
-        object.__setattr__(self, "comparison_maps", maps)
+        object.__setattr__(self, "comparison_maps", tuple(sorted(self.comparison_maps)))
 
     def corner(self, label: str) -> "Tree":
         for name, tree in self.known:

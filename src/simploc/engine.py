@@ -13,9 +13,9 @@ vanishing upgrades to per-degree isomorphisms on class B.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import cache, cached_property, partial
 from math import comb
-from typing import NamedTuple, Optional, Union
+from typing import Optional, Union
 
 from .coeff import (
     ZERO_GROUP,
@@ -373,15 +373,6 @@ def _identity(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(int(r == c) for c in range(n)) for r in range(n))
 
 
-class _Phi(NamedTuple):
-    """phi_i: E(Y) + E(Z) -> E(E), shape-checked and factored once (no form if a side is 0)."""
-
-    matrix: tuple[tuple[int, ...], ...]
-    src: int
-    tgt: int
-    form: Optional[SmithForm]
-
-
 def solve_blowup_les(
     node: Blowup,
     group: GroupDatum,
@@ -422,12 +413,14 @@ def _les_values(
     rational = rational_seen.pop() if rational_seen else False
     forms = node.__dict__.setdefault("_forms", {})
 
-    def phi(degree: int) -> _Phi:
+    @cache
+    def phi(degree: int) -> SmithForm:
         src = _free_rank_of(corners["Y"].get(degree, ZERO_GROUP), "cover corner", degree)
         src += _free_rank_of(corners["Z"].get(degree, ZERO_GROUP), "center corner", degree)
         tgt = _free_rank_of(corners["E"].get(degree, ZERO_GROUP), "exceptional corner", degree)
         if src == 0 or tgt == 0:
-            return _Phi(((0,) * src,) * tgt, src, tgt, None)
+            # a map with a zero side is its own Smith form
+            return SmithForm((), 0, tgt, src, ((0,) * src,) * tgt)
         matrix = node.map_at(degree)
         if matrix is None:
             raise UnderdeterminedError(
@@ -437,45 +430,43 @@ def _les_values(
             raise InconsistentDataError(f"comparison map in degree {degree} must be {tgt} x {src}")
         if degree not in forms:
             forms[degree] = snf(matrix)
-        return _Phi(matrix, src, tgt, forms[degree])
+        return forms[degree]
 
     values: dict[int, FgAbGroup] = {}
-    here, last = None, None
     # descending, so a missing map is met in the same order as by a walk
     # over every degree: the gaps skipped read no map
     for degree in sorted({e for d in live for e in (d, d - 1) if e <= top}, reverse=True):
-        above = here if degree + 1 == last else phi(degree + 1)
-        here, last = phi(degree), degree
+        above, here = phi(degree + 1), phi(degree)
         # X_i = coker(phi_{i+1}) + Z^ker(phi_i); a rational group drops the torsion
-        coker = above.form.cokernel() if above.form is not None else FgAbGroup(above.tgt)
-        ker_rank = here.form.kernel_rank() if here.form is not None else here.src
-        x = values[degree] = FgAbGroup(coker.free_rank + ker_rank, coker.invariant_factors, rational)
+        coker = above.cokernel()
+        free = coker.free_rank + here.kernel_rank()
+        x = values[degree] = FgAbGroup(free, coker.invariant_factors, rational)
         if witnesses is not None:
-            witnesses.append(_build_witness(degree, here, above, x, ker_rank))
+            witnesses.append(_build_witness(degree, here, above, x))
     return values
 
 
-def _build_witness(degree: int, here: _Phi, above: _Phi, x: FgAbGroup, ker_rank: int) -> LesWitness:
+def _build_witness(degree: int, here: SmithForm, above: SmithForm, x: FgAbGroup) -> LesWitness:
     """Witness matrices in the basis coker(phi_{deg+1}) + ker(phi_deg) of X."""
     if x.invariant_factors:
         raise UnderdeterminedError("witness extraction needs torsion-free cokernels")
     x_rank = x.free_rank
-    coker_rank = x_rank - ker_rank
-    # inclusion into E(Y)+E(Z): kernel basis columns, zero on the coker part
-    kernel_cols = here.form.kernel_basis() if here.form is not None else _identity(here.src)
+    coker_rank = x_rank - here.kernel_rank()
+    # inclusion into E(Y)+E(Z): kernel basis columns, zero on the coker part;
+    # a map into 0 keeps no column count in its empty matrix
+    kernel_cols = here.kernel_basis() if here.rows else _identity(here.cols)
     inclusion = tuple(
         tuple(
             0 if col < coker_rank else kernel_cols[col - coker_rank][row]
             for col in range(x_rank)
         )
-        for row in range(here.src)
+        for row in range(here.cols)
     )
     # boundary from E(E) in the degree above: last rows of the left
     # transform, padded with zero rows to the full X basis (coker part first)
-    form = above.form
-    rows = form.left[form.rank :] if form is not None else _identity(above.tgt)
+    rows = above.left[above.rank :]
     boundary = tuple(
-        tuple(rows[r][c] for c in range(above.tgt)) if r < coker_rank else (0,) * above.tgt
+        tuple(rows[r][c] for c in range(above.rows)) if r < coker_rank else (0,) * above.rows
         for r in range(x_rank)
     )
     return LesWitness(degree=degree, phi=here.matrix, inclusion=inclusion, boundary=boundary)

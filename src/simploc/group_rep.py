@@ -56,9 +56,6 @@ class GroupDatum:
         )
         return free + tors
 
-    def character_add(self, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-        return self.character(x + y for x, y in zip(a, b))
-
     def basis_character(self, i: int) -> tuple[int, ...]:
         """The i-th coordinate character (weight of the i-th lattice slot)."""
         if not 0 <= i < self.lattice_rank:
@@ -125,7 +122,7 @@ class RepRingElement:
         out: dict[tuple[int, ...], int] = {}
         for c1, v1 in self._terms.items():
             for c2, v2 in other._terms.items():
-                key = self.group.character_add(c1, c2)
+                key = tuple(x + y for x, y in zip(c1, c2))
                 out[key] = out.get(key, 0) + v1 * v2
         return RepRingElement(self.group, out)
 
@@ -137,8 +134,7 @@ class RepRingElement:
                 raise ValueError("elements of different representation rings")
             return other
         if isinstance(other, int):
-            zero_char = self.group.character([0] * self.group.lattice_rank)
-            return RepRingElement(self.group, {zero_char: other})
+            return RepRingElement(self.group, {(0,) * self.group.lattice_rank: other})
         raise TypeError(f"cannot coerce {other!r} into the representation ring")
 
 
@@ -164,8 +160,7 @@ class RepRing:
 
     @property
     def one(self) -> RepRingElement:
-        zero_char = self.group.character([0] * self.group.lattice_rank)
-        return RepRingElement(self.group, {zero_char: 1})
+        return RepRingElement(self.group, {(0,) * self.group.lattice_rank: 1})
 
     def character_class(self, coords: Iterable[int]) -> RepRingElement:
         """The class [L] of the line with the given character."""
@@ -175,12 +170,8 @@ class RepRing:
         return RepRingElement(self.group, terms)
 
     def gens(self) -> list[RepRingElement]:
-        return [
-            self.character_class(
-                [1 if j == i else 0 for j in range(self.group.lattice_rank)]
-            )
-            for i in range(self.group.lattice_rank)
-        ]
+        g = self.group
+        return [self.character_class(g.basis_character(i)) for i in range(g.lattice_rank)]
 
     def describe(self) -> str:
         g = self.group

@@ -207,17 +207,15 @@ class _Cursor:
 ArgValue = Union[int, tuple, str, list, Tree]
 
 
-def _items(cur: _Cursor, close: str, item) -> list:
-    """What ``item(cur)`` reads from each entry of a comma-separated list,
-    up to and over the token ``close``."""
-    out = []
+def _items(cur: _Cursor, close: str):
+    """Step over a comma-separated list up to and over the token ``close``,
+    yielding with the cursor at each entry, which the caller reads."""
     if cur.texts[cur.pos] != close:
-        out.append(item(cur))
+        yield
         while cur.texts[cur.pos] == ",":
             cur.pos += 1
-            out.append(item(cur))
+            yield
     cur.expect(close)
-    return out
 
 
 def _parse_pair(cur: _Cursor) -> tuple[int, ArgValue]:
@@ -231,9 +229,9 @@ def _parse_value(cur: _Cursor) -> ArgValue:
     index = cur.pos
     text = cur.next()
     if text == "(":
-        return tuple(_items(cur, ")", _parse_value))
+        return tuple(_parse_value(cur) for _ in _items(cur, ")"))
     if text == "[":
-        return _items(cur, "]", _parse_pair)
+        return [_parse_pair(cur) for _ in _items(cur, "]")]
     kind = _kind(text)
     if kind == "INT":
         return int(text)
@@ -404,8 +402,7 @@ def _parse_args(cur: _Cursor) -> tuple[list[tuple[ArgValue, int]], dict[str, tup
     cur.expect("(")
     positional: list[tuple[ArgValue, int]] = []
     keywords: dict[str, tuple[ArgValue, int]] = {}
-
-    def argument(cur: _Cursor) -> None:
+    for _ in _items(cur, ")"):
         index = cur.pos
         text = cur.texts[index]
         # END, the one empty text, is last
@@ -416,8 +413,6 @@ def _parse_args(cur: _Cursor) -> tuple[list[tuple[ArgValue, int]], dict[str, tup
             keywords[text] = (_parse_value(cur), index)
         else:
             positional.append((_parse_value(cur), index))
-
-    _items(cur, ")", argument)
     return positional, keywords
 
 
