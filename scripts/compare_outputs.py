@@ -21,6 +21,11 @@ The ``degree0`` mode prints, for every ``let`` tree of each script, the
 rank and oracle paths of ``compute_degree0`` and the result of
 ``refute_membership_b`` under the script's group, or each call's error type
 and message: no command reaches a class-C ``compute_degree0``.
+The ``witness`` mode prints, for every ``let`` tree that is a non-split
+square with unknown X, ``solve_blowup_les(tree, group, unit, -3, 0,
+collect_witnesses=True)`` under the script's group (the solved window and
+every LES witness matrix), or the error type and message: no command
+prints the witnesses.
 Prints one line per difference in stdout, stderr or exit code; exits 0
 when there is none.
 The corpus is taken from NEW_ROOT: the shipped scripts, every ``.slc``
@@ -42,16 +47,16 @@ from pathlib import Path
 
 MODES = [(command, fmt) for command in ("run", "check") for fmt in ("text", "records")]
 MODES += [("print", "plain"), ("print", "normalize-j"), ("snf", "maps"), ("tokens", "lines")]
-MODES += [("degree0", "lets")]
+MODES += [("degree0", "lets"), ("witness", "lets")]
 
 # run in one process per checkout: reads [[script, command, fmt], ...] on
 # stdin, writes [[stdout, stderr, exit code], ...] on stdout
 RUNNER = """
 import contextlib, io, json, sys, traceback
 from simploc.cli import main
-from simploc.coeff import snf
-from simploc.dsl import Disjoint, fold
-from simploc.engine import compute_degree0, refute_membership_b
+from simploc.coeff import builtin_table, snf
+from simploc.dsl import Blowup, Disjoint, fold
+from simploc.engine import compute_degree0, refute_membership_b, solve_blowup_les
 from simploc.script import ScriptError, _tokenize_line, parse, print_script
 def parsed_only(script, command, fmt):
     with open(script, encoding="utf-8") as handle:
@@ -80,6 +85,16 @@ def parsed_only(script, command, fmt):
                 print(f"{name}: {type(exc).__name__}: {exc}")
             try:
                 print(f"{name}: refuted {refute_membership_b(tree, parsed.group)!r}")
+            except Exception as exc:
+                print(f"{name}: {type(exc).__name__}: {exc}")
+        return 0
+    if command == "witness":
+        for name, tree in parsed.trees.items():
+            if not isinstance(tree, Blowup) or tree.split is not None or tree.unknown_corner != "X":
+                continue
+            try:
+                solved = solve_blowup_les(tree, parsed.group, builtin_table("unit"), -3, 0, collect_witnesses=True)
+                print(f"{name}: {solved!r}")
             except Exception as exc:
                 print(f"{name}: {type(exc).__name__}: {exc}")
         return 0

@@ -421,7 +421,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         return EXIT_VALIDATION
     try:
         script = parse(text, normalize_j_sequences=args.normalize_j)
-    except (ScriptError, ValueError, EngineError) as exc:
+    except (ScriptError, ValueError) as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except RecursionError:

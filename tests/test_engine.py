@@ -4,6 +4,7 @@ from math import factorial
 
 import pytest
 
+from simploc import engine
 from simploc.coeff import FgAbGroup, Q, Z, builtin_table, parse_table_file
 from simploc.dsl import (
     Blowup,
@@ -402,6 +403,48 @@ def test_witnesses_over_a_rational_table_drop_the_torsion():
     assert by_degree[0].boundary == ((),)
     # X_{-1} = coker(phi_0) tensor Q = 0: no free cokernel part
     assert by_degree[-1] == LesWitness(degree=-1, phi=(), inclusion=(), boundary=())
+
+
+def test_witnesses_at_a_degree_with_a_zero_side():
+    # a map with a zero side is never factored; its witness columns and
+    # rows still carry the nonzero side's rank
+    nothing = Disjoint(())
+    p1 = example_library("projective_space", 1)
+    # E = 0: phi_0 maps Z^3 into 0, so X_0 = ker(phi_0) = Z^3
+    into_zero = Blowup((("Y", p1), ("Z", Point()), ("E", nothing)), "X", None, ())
+    window, witnesses = solve_blowup_les(into_zero, TRIV, UNIT, -1, 0, collect_witnesses=True)
+    assert window.value_at(0) == FgAbGroup(3) and window.value_at(-1).is_zero
+    by_degree = {w.degree: w for w in witnesses}
+    assert by_degree[0] == LesWitness(
+        degree=0,
+        phi=(),
+        inclusion=((1, 0, 0), (0, 1, 0), (0, 0, 1)),
+        boundary=((), (), ()),
+    )
+    assert by_degree[-1] == LesWitness(degree=-1, phi=(), inclusion=(), boundary=())
+    # Y = Z = 0: phi_0 maps 0 into Z, so X_{-1} = coker(phi_0) = Z
+    out_of_zero = Blowup((("Y", nothing), ("Z", nothing), ("E", Point())), "X", None, ())
+    window, witnesses = solve_blowup_les(out_of_zero, TRIV, UNIT, -1, 0, collect_witnesses=True)
+    assert window.value_at(-1) == Z and window.value_at(0).is_zero
+    by_degree = {w.degree: w for w in witnesses}
+    assert by_degree[0] == LesWitness(degree=0, phi=((),), inclusion=(), boundary=())
+    assert by_degree[-1] == LesWitness(degree=-1, phi=(), inclusion=(), boundary=((1,),))
+
+
+def test_a_square_keeps_the_matrices_it_is_given(monkeypatch):
+    low, high = ((1, 1, 1), (1, 1, 1)), ((1, 0, 1), (0, 1, 1))
+    square = _node_with_maps(((2, high), (0, low)))
+    assert square.map_at(0) is low and square.map_at(2) is high
+    factored = []
+    real_snf = engine.snf
+
+    def recording(matrix):
+        factored.append(matrix)
+        return real_snf(matrix)
+
+    monkeypatch.setattr(engine, "snf", recording)
+    compute_graded(square, TRIV, parse_table_file("two_rows", "0 1\n2 1\n"), degrees=(-3, 3))
+    assert len(factored) == 2 and factored[0] is high and factored[1] is low
 
 
 # ---------------------------------------------------------------------------
