@@ -220,7 +220,8 @@ class SmithForm:
 
     def cokernel(self) -> FgAbGroup:
         """Z^rows / column span of A."""
-        return FgAbGroup(self.rows - self.rank, self.factors)
+        # the 1s lead the chain; passing none spares FgAbGroup its census
+        return FgAbGroup(self.rows - self.rank, self.factors[self.factors.count(1) :])
 
     def kernel_rank(self) -> int:
         return self.cols - self.rank

@@ -373,6 +373,12 @@ def _identity(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(int(r == c) for c in range(n)) for r in range(n))
 
 
+@cache
+def _zero_map(tgt: int, src: int) -> SmithForm:
+    """A map Z^src -> Z^tgt with a zero side: its own Smith form, one per shape."""
+    return SmithForm((), 0, tgt, src, ((0,) * src,) * tgt)
+
+
 def solve_blowup_les(
     node: Blowup,
     group: GroupDatum,
@@ -419,8 +425,7 @@ def _les_values(
         src += _free_rank_of(corners["Z"].get(degree, ZERO_GROUP), "center corner", degree)
         tgt = _free_rank_of(corners["E"].get(degree, ZERO_GROUP), "exceptional corner", degree)
         if src == 0 or tgt == 0:
-            # a map with a zero side is its own Smith form
-            return SmithForm((), 0, tgt, src, ((0,) * src,) * tgt)
+            return _zero_map(tgt, src)
         matrix = node.map_at(degree)
         if matrix is None:
             raise UnderdeterminedError(

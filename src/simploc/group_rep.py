@@ -122,6 +122,7 @@ class RepRingElement:
         out: dict[tuple[int, ...], int] = {}
         for c1, v1 in self._terms.items():
             for c2, v2 in other._terms.items():
+                # the constructor reduces the sum's torsion coordinates
                 key = tuple(x + y for x, y in zip(c1, c2))
                 out[key] = out.get(key, 0) + v1 * v2
         return RepRingElement(self.group, out)
