@@ -93,7 +93,8 @@ def parsed_only(script, command, fmt):
             if not isinstance(tree, Blowup) or tree.split is not None or tree.unknown_corner != "X":
                 continue
             try:
-                solved = solve_blowup_les(tree, parsed.group, builtin_table("unit"), -3, 0, collect_witnesses=True)
+                unit = builtin_table("unit")
+                solved = solve_blowup_les(tree, parsed.group, unit, -3, 0, collect_witnesses=True)
                 print(f"{name}: {solved!r}")
             except Exception as exc:
                 print(f"{name}: {type(exc).__name__}: {exc}")

@@ -220,7 +220,7 @@ class SmithForm:
 
     def cokernel(self) -> FgAbGroup:
         """Z^rows / column span of A."""
-        # the 1s lead the chain; passing none spares FgAbGroup its census
+        # the 1s lead the chain; dropping them spares FgAbGroup a census
         return FgAbGroup(self.rows - self.rank, self.factors[self.factors.count(1) :])
 
     def kernel_rank(self) -> int:
