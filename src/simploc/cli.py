@@ -401,17 +401,21 @@ def check_script(script: Script, fmt: str = "text") -> tuple[str, int]:
     return out.render(), code
 
 
+# built once per process: building a parser costs several times its
+# parse_args, and in-process callers run main once per script
+_PARSER = argparse.ArgumentParser(prog="simploc")
+_PARSER.add_argument("command", choices=("run", "check"))
+_PARSER.add_argument("script", help="construction script file")
+_PARSER.add_argument("--format", choices=("text", "records"), default="text", dest="fmt")
+_PARSER.add_argument(
+    "--normalize-j",
+    action="store_true",
+    help="tighten Schubert j-sequences to the equivalent normal form",
+)
+
+
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = argparse.ArgumentParser(prog="simploc")
-    parser.add_argument("command", choices=("run", "check"))
-    parser.add_argument("script", help="construction script file")
-    parser.add_argument("--format", choices=("text", "records"), default="text", dest="fmt")
-    parser.add_argument(
-        "--normalize-j",
-        action="store_true",
-        help="tighten Schubert j-sequences to the equivalent normal form",
-    )
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
 
     path = Path(args.script)
     try:

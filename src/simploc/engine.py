@@ -419,7 +419,6 @@ def _les_values(
     rational = rational_seen.pop() if rational_seen else False
     forms = node.__dict__.setdefault("_forms", {})
 
-    @cache
     def phi(degree: int) -> SmithForm:
         src = _free_rank_of(corners["Y"].get(degree, ZERO_GROUP), "cover corner", degree)
         src += _free_rank_of(corners["Z"].get(degree, ZERO_GROUP), "center corner", degree)
@@ -439,9 +438,12 @@ def _les_values(
 
     values: dict[int, FgAbGroup] = {}
     # descending, so a missing map is met in the same order as by a walk
-    # over every degree: the gaps skipped read no map
+    # over every degree: the gaps skipped read no map; a degree's phi is
+    # the phi above of the next degree down, when that is solved next
+    below = here = None
     for degree in sorted({e for d in live for e in (d, d - 1) if e <= top}, reverse=True):
-        above, here = phi(degree + 1), phi(degree)
+        above = here if below == degree else phi(degree + 1)
+        here, below = phi(degree), degree - 1
         # X_i = coker(phi_{i+1}) + Z^ker(phi_i); a rational group drops the torsion
         coker = above.cokernel()
         free = coker.free_rank + here.kernel_rank()

@@ -1,8 +1,10 @@
+import argparse
 import json
 from pathlib import Path
 
 import pytest
 
+from simploc import cli
 from simploc.cli import (
     EXIT_OK,
     EXIT_UNDERDETERMINED,
@@ -283,6 +285,58 @@ def test_cli_main_round_trip(tmp_path, capsys):
     bad = tmp_path / "bad.slc"
     bad.write_text("let =\n")
     assert main(["run", str(bad)]) == EXIT_VALIDATION
+
+
+POINT_SCRIPT = "group trivial\nlet x = point\nclassify x\n"
+
+
+def test_cli_main_builds_no_parser_per_call(tmp_path, capsys, monkeypatch):
+    def no_parser(*args, **kwargs):
+        raise AssertionError("main built an argument parser")
+
+    monkeypatch.setattr(argparse, "ArgumentParser", no_parser)
+    path = tmp_path / "point.slc"
+    path.write_text(POINT_SCRIPT)
+    for _ in range(2):
+        assert main(["run", str(path)]) == EXIT_OK
+        assert capsys.readouterr().out == "x: class B\n"
+
+
+def _argv_errors(path, capsys) -> None:
+    for argv in (["run"], ["frobnicate", str(path)]):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("usage: simploc")
+        assert captured.out == ""
+
+
+def test_cli_options_do_not_carry_over_between_calls(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "point.slc"
+    path.write_text(POINT_SCRIPT)
+    _argv_errors(path, capsys)
+    assert main(["run", str(path), "--format=records", "--normalize-j"]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["command"] == "classify"
+    _argv_errors(path, capsys)
+    assert main(["run", str(path)]) == EXIT_OK
+    assert capsys.readouterr().out == "x: class B\n"
+
+    # the golden's j sequence is one normalization tightens
+    schubert = Path(__file__).resolve().parent / "golden" / "normalize_j" / "schubert_j.slc"
+    flags = []
+
+    def spy(text, normalize_j_sequences=False):
+        flags.append(normalize_j_sequences)
+        return parse(text, normalize_j_sequences)
+
+    monkeypatch.setattr(cli, "parse", spy)
+    outputs = []
+    for extra in ([], ["--normalize-j"], []):
+        assert main(["run", str(schubert), *extra]) == EXIT_OK
+        outputs.append(capsys.readouterr().out)
+    assert flags == [False, True, False]
+    assert outputs[2] == outputs[0]
 
 
 def test_cli_normalize_j_flag(tmp_path, capsys):
