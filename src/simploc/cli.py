@@ -22,7 +22,7 @@ import argparse
 import json
 import sys
 from pathlib import Path
-from typing import Hashable, Iterable, Optional, Union
+from typing import Hashable, Optional, Union
 
 from .coeff import ZERO_GROUP, CoefficientTable, FgAbGroup, builtin_table, direct_sum, parse_table_file
 from .dsl import MembershipClass, Tree, Violation, classify, validate_names
@@ -141,14 +141,15 @@ class _Output:
             self.lines.append(json.dumps(fields, sort_keys=True))
 
     def degree_rows(
-        self, lead: str, command: str, rows: Iterable[tuple[int, Hashable]], text_of, fields_of
+        self, lead: str, command: str, lo: int, rows: list[Hashable], text_of, fields_of
     ) -> None:
-        """One line per ``(degree, row)`` of a degree table.  Each distinct row
-        is rendered once, in the requested format only: as ``lead``, the
-        degree and ``text_of(row)``, or as the record of ``fields_of(row)``
-        with command and degree.  Every field sorts after "degree", so a
-        record is a fixed head, the degree and the row's rendered tail."""
-        tails: dict[Hashable, str] = {}
+        """One line per row of a degree table, the first in degree ``lo``.
+        Each distinct row is rendered once, in the requested format only: as
+        ``lead``, the degree and ``text_of(row)``, or as the record of
+        ``fields_of(row)`` with command and degree.  Every field sorts after
+        "degree", so a record is a fixed head, the degree and the row's
+        rendered tail.  Rows are told apart by identity first, and an object
+        equal to one already rendered shares its tail."""
         if self.fmt == "text":
             head, render = lead, text_of
         else:
@@ -159,11 +160,17 @@ class _Output:
                 assert min(fields) > "degree"
                 return ", " + json.dumps(fields, sort_keys=True)[1:]
 
-        for degree, row in rows:
-            tail = tails.get(row)
+        tails: dict[int, str] = {}
+        by_value: dict[Hashable, str] = {}
+        append = self.lines.append
+        for degree, row in enumerate(rows, lo):
+            tail = tails.get(id(row))
             if tail is None:
-                tail = tails[row] = render(row)
-            self.lines.append(head + str(degree) + tail)
+                tail = by_value.get(row)
+                if tail is None:
+                    tail = by_value[row] = render(row)
+                tails[id(row)] = tail
+            append(head + str(degree) + tail)
 
     def render(self) -> str:
         return "\n".join(self.lines) + ("\n" if self.lines else "")
@@ -285,7 +292,8 @@ def _run_compute(
     out.degree_rows(
         "  degree ",
         "compute",
-        ((degree, value.value_at(degree)) for degree in range(cmd.lo, cmd.hi + 1)),
+        cmd.lo,
+        value.rows(cmd.lo, cmd.hi),
         lambda g: f": {g.describe()}",
         lambda g: dict(target=cmd.target, table=table.name, flags=sorted(flags), **_group_fields(g)),
     )
@@ -357,10 +365,15 @@ def _run_report(
     )
     out.text("  degree | K | KH | HC^-")
 
-    def row(degree: int) -> tuple[int, tuple]:
-        # the rule of a degree depends on its sign only
-        sign = (degree > 0) - (degree < 0)
-        return degree, (sign, kh_value.value_at(degree), hcm_table.group_at(degree))
+    # the rule of a degree depends on its sign only
+    lo, hi = cmd.lo, cmd.hi
+    signs = [-1] * max(0, min(hi, -1) - lo + 1) + [0] * (lo <= 0 <= hi)
+    signs += [1] * max(0, hi - max(lo, 1) + 1)
+    kh_rows, hcm_rows = kh_value.rows(lo, hi), hcm_table.rows(lo, hi)
+    # equal (sign, KH, HC^-) rows are one tuple, told apart by their parts' ids
+    shared: dict[tuple[int, int, int], tuple] = {}
+    keys = zip(signs, map(id, kh_rows), map(id, hcm_rows))
+    rows = list(map(shared.setdefault, keys, zip(signs, kh_rows, hcm_rows)))
 
     def columns(row: tuple) -> tuple[FgAbGroup, FgAbGroup, FgAbGroup]:
         sign, kh_g, hcm_g = row
@@ -370,7 +383,8 @@ def _run_report(
     out.degree_rows(
         "  ",
         "report",
-        map(row, range(cmd.lo, cmd.hi + 1)),
+        lo,
+        rows,
         lambda row: "".join(f" | {g.describe()}" for g in columns(row)),
         lambda row: dict(
             zip(("k", "kh", "hcminus"), map(_group_fields, columns(row))),

@@ -10,6 +10,7 @@ read.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
@@ -396,11 +397,16 @@ class CoefficientTable:
         stored = dict(self.degree_groups)
         if len(stored) != len(self.degree_groups):
             raise ValueError("duplicate degree rows")
-        object.__setattr__(
-            self,
-            "degree_groups",
-            tuple(sorted((d, g) for d, g in stored.items() if not g.is_zero)),
+        # equal rows are kept as one object, so readers may tell rows apart by
+        # identity; keyed by the fields, as the generated __hash__ is a
+        # Python-level call
+        shared: dict[tuple, FgAbGroup] = {}
+        rows = (
+            (d, shared.setdefault((g.free_rank, g.invariant_factors, g.rational), g))
+            for d, g in stored.items()
+            if not g.is_zero
         )
+        object.__setattr__(self, "degree_groups", tuple(sorted(rows)))
         if not self.degree_groups or self.group_at(0).free_rank < 1:
             raise ValueError("degree-0 group must have free rank >= 1 (unital ring)")
 
@@ -420,6 +426,28 @@ class CoefficientTable:
         if self.periodicity.two_sided or degree < lo:
             return stored.get(lo + (degree - lo) % self.periodicity.period, ZERO_GROUP)
         return ZERO_GROUP
+
+    def rows(self, lo: int, hi: int) -> list[FgAbGroup]:
+        """``[group_at(d) for d in range(lo, hi + 1)]`` without a lookup per
+        degree: the periodic rows are one period's, repeated, and the stored
+        rows inside the window are written over them.  Equal rows are one
+        object."""
+        out = [ZERO_GROUP] * (hi - lo + 1)
+        stored, periodicity = self.degree_groups, self.periodicity
+        if periodicity is not None:
+            first, period = stored[0][0], periodicity.period
+            # a one-sided period repeats below the lowest stored degree only
+            count = (hi if periodicity.two_sided else min(hi, first - 1)) - lo + 1
+            if count > 0:
+                # each degree's row of the first period (stored rows past it
+                # are written over below)
+                get, degrees = self._stored.get, range(lo, lo + min(count, period))
+                cycle = [get(first + (d - first) % period, ZERO_GROUP) for d in degrees]
+                out[:count] = (cycle * (count // len(cycle) + 1))[:count]
+        # (d,) sorts before every row (d, g), and the degrees are distinct
+        for d, g in stored[bisect_left(stored, (lo,)) : bisect_left(stored, (hi + 1,))]:
+            out[d - lo] = g
+        return out
 
     @property
     def min_degree(self) -> int | None:

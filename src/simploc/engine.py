@@ -320,21 +320,41 @@ class GradedModuleValue:
     assumed_oracles: tuple[str, ...] = ()
 
     @cached_property
-    def _tensored(self) -> dict[FgAbGroup, FgAbGroup]:
-        """Formal shape: table group -> its tensor with Z^rank, filled as read
-        (a periodic table has a handful of distinct rows)."""
+    def _tensored(self) -> dict[int, FgAbGroup]:
+        """Formal shape: id of a table row -> its tensor with Z^rank, filled as
+        read.  The table holds every row it hands out, and equal rows are one
+        object, so a periodic table fills a handful of entries."""
         return {}
+
+    def _tensor_of(self, row: FgAbGroup) -> FgAbGroup:
+        assert self.degree0 is not None
+        value = self._tensored.get(id(row))
+        if value is None:
+            value = self._tensored[id(row)] = tensor_with_free(row, self.degree0.rank)
+        return value
 
     def value_at(self, degree: int) -> FgAbGroup:
         if self.shape == "formal":
-            assert self.degree0 is not None and self.table is not None
-            g = self.table.group_at(degree)
-            value = self._tensored.get(g)
-            if value is None:
-                value = self._tensored[g] = tensor_with_free(g, self.degree0.rank)
-            return value
+            assert self.table is not None
+            return self._tensor_of(self.table.group_at(degree))
         assert self.window is not None
         return self.window.value_at(degree)
+
+    def rows(self, lo: int, hi: int) -> list[FgAbGroup]:
+        """``[value_at(d) for d in range(lo, hi + 1)]`` without a lookup per
+        degree; equal rows of the formal shape are one object."""
+        if self.shape == "formal":
+            assert self.table is not None
+            tensored = self._tensored
+            # a group is never falsy: a miss is tensored, in degree order
+            return [tensored.get(id(g)) or self._tensor_of(g) for g in self.table.rows(lo, hi)]
+        window = self.window
+        assert window is not None
+        if hi > window.hi:
+            window.value_at(max(lo, window.hi + 1))  # raises, as value_at would
+        zeros = [ZERO_GROUP] * max(0, min(hi + 1, window.lo) - lo)
+        start = max(lo, window.lo)
+        return zeros + [g for _, g in window.values[start - window.lo : hi + 1 - window.lo]]
 
 
 def formal_value_of_table(table: CoefficientTable, group: GroupDatum) -> GradedModuleValue:

@@ -403,3 +403,24 @@ def test_deeply_nested_expression_exits_one_without_traceback(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err == "parse error: expression nested too deeply\n"
     assert "Traceback" not in err
+
+
+def test_normalize_j_changes_the_parsed_tower_but_no_run_or_check_output(tmp_path, capsys):
+    text = (
+        "group trivial\nlet s = schubert(4, 2, j=(0, 0, 0, 2, 2))\nclassify s\n"
+        "compute s table=unit degrees=0..1\ncompute s table=bott degrees=-2..2\n"
+        "verdict s preset=ktop_C\nverdict s preset=parshin_Fq\n"
+        "report s kh=bott hcminus=hcminus_rational degrees=-1..2\n"
+    )
+    assert print_script(parse(text)) != print_script(parse(text, normalize_j_sequences=True))
+    # the locus rank is the descent's oracle, cell_count_finite, which
+    # normalization keeps
+    script = tmp_path / "schubert.slc"
+    script.write_text(text)
+    for command in ("run", "check"):
+        for fmt in ("text", "records"):
+            runs = []
+            for flags in ([], ["--normalize-j"]):
+                code = main([command, f"--format={fmt}", str(script), *flags])
+                runs.append((code, capsys.readouterr().out))
+            assert runs[0] == runs[1] and runs[0][0] == EXIT_OK
