@@ -151,11 +151,13 @@ def test_a_wide_window_reads_each_period_row_once(tmp_path, capsys):
     period = builtin_table("bott").periodicity.period
     for fmt in FORMATS:
         hashing, hashed = _counting_hash()
-        group_at = mock.patch.object(
+        counting_group_at = mock.patch.object(
             CoefficientTable, "group_at", autospec=True, side_effect=CoefficientTable.group_at
         )
-        tensor = mock.patch.object(engine, "tensor_with_free", wraps=coeff.tensor_with_free)
-        with group_at as group_at, tensor as tensor, hashing:
+        counting_tensor = mock.patch.object(
+            engine, "tensor_with_free", wraps=coeff.tensor_with_free
+        )
+        with counting_group_at as group_at, counting_tensor as tensor, hashing:
             assert main(["run", f"--format={fmt}", str(script)]) == EXIT_OK
         assert len(capsys.readouterr().out.splitlines()) == 200001 + (2 if fmt == "text" else 0)
         assert group_at.call_count <= period and tensor.call_count <= period
@@ -184,11 +186,11 @@ def test_report_rows_share_equal_rows(tmp_path, capsys):
     )
     for fmt in FORMATS:
         hashing, hashed = _counting_hash()
-        describe = mock.patch.object(
+        counting_describe = mock.patch.object(
             FgAbGroup, "describe", autospec=True, side_effect=FgAbGroup.describe
         )
-        with describe as describe, hashing:
-            main(["run", f"--format={fmt}", str(script)])
+        with counting_describe as describe, hashing:
+            assert main(["run", f"--format={fmt}", str(script)]) == EXIT_OK
         out = capsys.readouterr().out.splitlines()
         # text adds the title, the column heads and two hypothesis lines
         assert len(out) == 6001 + (4 if fmt == "text" else 0)
