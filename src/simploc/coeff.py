@@ -100,8 +100,14 @@ class FgAbGroup:
         if self.free_rank < 0:
             raise ValueError("free_rank must be non-negative")
         torsion = self.invariant_factors if not self.rational else ()
-        factors = _canonical_chain(torsion) if torsion else ()
-        object.__setattr__(self, "invariant_factors", factors)
+        # a chain already canonical (each factor > 1 dividing the next) is kept
+        prev = 1
+        for factor in torsion:
+            if factor <= 1 or factor % prev:
+                torsion = _canonical_chain(torsion)
+                break
+            prev = factor
+        object.__setattr__(self, "invariant_factors", tuple(torsion))
         # there is one zero group: a cancelled Q-space is the integral 0
         object.__setattr__(self, "rational", self.rational and self.free_rank > 0)
 

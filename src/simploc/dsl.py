@@ -133,16 +133,17 @@ Tree = Union[Point, HenselianBase, Disjoint, FlagBundle, StratifiedDescent, Blow
 
 def children(tree: Tree) -> tuple[Tree, ...]:
     """Child subtrees in stable order; indices name path components."""
-    if isinstance(tree, (Point, HenselianBase)):
-        return ()
-    if isinstance(tree, Disjoint):
-        return tree.children
-    if isinstance(tree, FlagBundle):
+    kind = type(tree)
+    if kind is FlagBundle:
         return (tree.base,)
-    if isinstance(tree, StratifiedDescent):
-        return (tree.total_space,)
-    if isinstance(tree, Blowup):
+    if kind is Point or kind is HenselianBase:
+        return ()
+    if kind is Blowup:
         return tuple(t for _, t in tree.known)
+    if kind is Disjoint:
+        return tree.children
+    if kind is StratifiedDescent:
+        return (tree.total_space,)
     raise TypeError(f"not a construction tree: {tree!r}")
 
 
@@ -268,11 +269,12 @@ def _own_violations(node: Tree, group: GroupDatum) -> list[str]:
     out: list[str] = []
     bad = out.append
 
-    if isinstance(node, HenselianBase):
+    kind = type(node)
+    if kind is HenselianBase:
         fault = _not_prime(node.p)
         if fault:
             bad(f"henselian residue characteristic {node.p} {fault}")
-    elif isinstance(node, FlagBundle):
+    elif kind is FlagBundle:
         b = node.bundle
         if b.rank < 1:
             bad("bundle rank must be >= 1")
@@ -291,7 +293,7 @@ def _own_violations(node: Tree, group: GroupDatum) -> list[str]:
                     )
         if b.twist_labels is not None and len(b.twist_labels) != b.rank:
             bad("twist labels must match the bundle rank")
-    elif isinstance(node, StratifiedDescent):
+    elif kind is StratifiedDescent:
         s = node.sheaf
         if s.generic_rank < 0:
             bad("generic rank must be non-negative")
@@ -303,7 +305,7 @@ def _own_violations(node: Tree, group: GroupDatum) -> list[str]:
             bad(f"d exceeds generic rank: total {sum(node.d_vec)} > {s.generic_rank}")
         if node.oracle_rank is not None and node.oracle_rank < 0:
             bad("oracle rank must be non-negative")
-    elif isinstance(node, Blowup):
+    elif kind is Blowup:
         labels = set(node.known_labels)
         if node.unknown_corner not in BLOWUP_CORNERS:
             bad(f"unknown corner {node.unknown_corner!r} is not one of X, Y, Z, E")
@@ -380,15 +382,16 @@ class _Class(NamedTuple):
 
 def _oracles_at(node: Tree) -> int:
     """1 for a descent node declaring a rank, else 0."""
-    return int(isinstance(node, StratifiedDescent) and node.oracle_rank is not None)
+    return int(type(node) is StratifiedDescent and node.oracle_rank is not None)
 
 
 def _classified(node: Tree, kids: list[_Class]) -> _Class:
     """The node's class from its children's, cached on the immutable node as
     an instance-dict entry, which ``==``, ``hash`` and ``repr`` ignore."""
-    prime = node.p if isinstance(node, HenselianBase) else None
+    kind = type(node)
+    prime = node.p if kind is HenselianBase else None
     mixed = False
-    unsplit = isinstance(node, Blowup) and node.split is None
+    unsplit = kind is Blowup and node.split is None
     oracles = _oracles_at(node)
     for kid in kids:
         if kid.tag == "invalid":

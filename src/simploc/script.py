@@ -23,8 +23,10 @@ Gr(n, d), Flag(n, d=(...)), hirzebruch(m), cusp, node, cone_of_P1,
 cone(expr, twist), schubert(...), affine(...)) or explicit node forms
 (disjoint, flagbundle, descent, blowup, henselian).  Parentheses always
 build tuples, so nesting is unambiguous; ``maps=[deg: ((..),(..)), ...]``
-attaches comparison matrices per degree.  The printer, one ``dsl.fold``,
-emits explicit forms only, and parse(print(tree)) round-trips.
+attaches comparison matrices per degree.  Every tree a call builds is
+interned in that parse's table (``_Cursor.intern``), so equal subtrees that
+a script writes are one node.  The printer, one ``dsl.fold``, emits explicit
+forms only, and parse(print(tree)) round-trips.
 """
 
 from __future__ import annotations
@@ -128,6 +130,29 @@ def _tokenize_line(text: str, line: int) -> list[Token]:
     return out
 
 
+def _key(node: Tree) -> tuple:
+    """The intern key of a node: its type, its data and its children's ids.
+    The parser interns every tree it builds before the trees built on it, so
+    equal subtrees get equal keys.  A key holds no node, so no node is hashed
+    (the dataclass hash recurses through the whole tree)."""
+    kind = type(node)
+    if kind is FlagBundle:
+        b = node.bundle
+        return kind, id(node.base), b.rank, b.split_characters, b.twist_labels, node.d_vec
+    if kind is Point:
+        return (kind,)
+    if kind is Disjoint:
+        return kind, *map(id, node.children)
+    if kind is StratifiedDescent:
+        s = node.sheaf
+        return (kind, id(node.total_space), s.generic_rank, s.presentation_ranks, node.d_vec,
+                node.oracle_rank)
+    if kind is Blowup:
+        known = tuple((label, id(kid)) for label, kid in node.known)
+        return kind, known, node.unknown_corner, node.split, node.comparison_maps
+    return kind, node.p
+
+
 class _Cursor:
     """A script's parse state.  What the script has declared so far: its
     group (None before the ``group`` line), its ``let`` names and its table
@@ -135,18 +160,31 @@ class _Cursor:
     read, as its token texts, END ("") last, and the index of the next.  A
     token is referred to by its index; its column is found only for an
     error, by scanning the line again, which reports a malformed token on
-    the line before any other error."""
+    the line before any other error.
+
+    The cursor also holds the parse's intern table: every tree a call
+    builds is replaced by the table's node equal to it, if there is one, so
+    each subtree the script writes twice is one object.  A library entry's
+    own nodes below its root are kept as its builder makes them; their ids
+    are in no other key.  The table lives as long as the cursor, so no node
+    is shared between two parses."""
 
     def __init__(self, normalize: bool):
         self.group: Optional[GroupDatum] = None
         self.names: dict[str, Tree] = {}
         self.tables: set[str] = set()
         self.normalize = normalize
+        self.interned: dict[tuple, Tree] = {}  # each interned node by its _key
+        self.nullary: dict[str, Tree] = {}  # each NULLARY name's tree, once built
+
+    def intern(self, node: Tree) -> Tree:
+        """The interned node equal to ``node``, or ``node``, now interned."""
+        return self.interned.setdefault(_key(node), node)
 
     def start(self, raw: str, line: int) -> None:
         """Aim the cursor at the first token of ``raw``, the script's line ``line``."""
         texts = _TEXT.findall(raw)
-        if texts and _kind(texts[-1]) == "COMMENT":
+        if texts and texts[-1][0] == "#":
             texts[-1] = ""
         else:
             texts.append("")
@@ -157,11 +195,6 @@ class _Cursor:
 
     def peek(self) -> str:
         return self.texts[self.pos]
-
-    def next(self) -> str:
-        text = self.texts[self.pos]
-        self.pos += 1
-        return text
 
     def expect(self, text: str) -> None:
         """Step over the next token, which must be ``text`` (punctuation or END)."""
@@ -192,10 +225,12 @@ class _Cursor:
         """The tree a name stands for; the name's token is at ``index``."""
         if name in self.names:
             return self.names[name]
-        if name == "point":
-            return Point()
+        if name in self.nullary:
+            return self.nullary[name]
         if name in NULLARY:
-            return example_library(name, group=self.group)
+            tree = Point() if name == "point" else example_library(name, group=self.group)
+            tree = self.nullary[name] = self.intern(tree)
+            return tree
         raise self.error(f"undefined name {name!r}", index)
 
 
@@ -226,20 +261,38 @@ def _parse_pair(cur: _Cursor) -> tuple[int, ArgValue]:
 
 
 def _parse_value(cur: _Cursor) -> ArgValue:
-    index = cur.pos
-    text = cur.next()
+    """One argument value.  A token is an INT or an IDENT by its first
+    character (see ``_TEXT``): an integer's is a digit, or ``-`` with more
+    after it; a name's is a letter or ``_``."""
+    texts, index = cur.texts, cur.pos
+    text = texts[index]
+    cur.pos = index + 1
     if text == "(":
+        # a tuple of integers in one step; anything else entry by entry,
+        # from its first entry
+        values = []
+        i = index + 1
+        while texts[i][:1].isdecimal() or texts[i][:1] == "-" and texts[i] != "-":
+            values.append(int(texts[i]))
+            i += 2
+            if texts[i - 1] == ")":
+                cur.pos = i
+                return tuple(values)
+            if texts[i - 1] != ",":
+                break
         return tuple(_parse_value(cur) for _ in _items(cur, ")"))
     if text == "[":
         return [_parse_pair(cur) for _ in _items(cur, "]")]
-    kind = _kind(text)
-    if kind == "INT":
+    first = text[:1]
+    if first.isdecimal() or first == "-" and text != "-":
         return int(text)
-    if kind == "IDENT":
-        return _parse_call(cur, index) if cur.peek() == "(" else text
+    if first.isalpha() or first == "_":
+        return _parse_call(cur, index) if texts[index + 1] == "(" else text
     tok = cur.token(index)
     raise ScriptError(f"unexpected token {tok.text!r}", tok.line, tok.col)
 
+
+_INT = frozenset((int,))  # the type of every entry of an integer tuple
 
 # Each converter takes (value, index, name, cursor): the argument and the
 # index of its first token, where an error is reported (a keyword argument's
@@ -255,7 +308,7 @@ def _as_int(value: ArgValue, index: int, what: str, cur: _Cursor) -> int:
 def _as_int_tuple(value: ArgValue, index: int, what: str, cur: _Cursor) -> tuple[int, ...]:
     if type(value) is int:
         return (value,)
-    if type(value) is tuple and all(type(v) is int for v in value):
+    if type(value) is tuple and _INT.issuperset(map(type, value)):
         return value
     raise cur.error(f"{what} must be an integer or tuple of integers", index)
 
@@ -278,7 +331,7 @@ def _as_rows(
     for row in value:
         if type(row) is int:
             rows.append((row,))
-        elif type(row) is tuple and all(type(v) is int for v in row):
+        elif type(row) is tuple and _INT.issuperset(map(type, row)):
             rows.append(row)
         else:
             raise cur.error(inner, index)
@@ -366,6 +419,7 @@ NULLARY = ("point", "cusp", "node", "cone_of_P1")
 # with the cursor and the converted arguments (None for an optional keyword
 # left out).  Without an argument list the builder converts its own
 # arguments from (positional, keywords, cursor, head token).
+# ``_parse_call`` interns the tree a builder returns.
 _SIGNATURES: dict[str, tuple] = {
     "P": (1, (), "", (), ((0, _as_int, "dimension"),), _library("projective_space")),
     "Gr": (2, (), "", (), ((0, _as_int, "n"), (1, _as_int, "d")), _library("grassmannian")),
@@ -393,6 +447,11 @@ _SIGNATURES: dict[str, tuple] = {
     "blowup": (None, (), "", ("unknown", "split", *BLOWUP_CORNERS, "maps"), None, _blowup),
     "henselian": (1, (), "", (), ((0, _as_int, "prime"),), lambda cur, p: HenselianBase(p)),
 }
+# each call head's accepted keywords and required keywords
+_KEYWORDS = {
+    head: (frozenset(required + optional), frozenset(required))
+    for head, (_, required, _, optional, _, _) in _SIGNATURES.items()
+}
 
 
 def _parse_args(cur: _Cursor) -> tuple[list[tuple[ArgValue, int]], dict[str, tuple[ArgValue, int]]]:
@@ -400,19 +459,26 @@ def _parse_args(cur: _Cursor) -> tuple[list[tuple[ArgValue, int]], dict[str, tup
     argument's index is its name's, a positional argument's the index of the
     first token of its value."""
     cur.expect("(")
+    texts = cur.texts
     positional: list[tuple[ArgValue, int]] = []
     keywords: dict[str, tuple[ArgValue, int]] = {}
-    for _ in _items(cur, ")"):
-        index = cur.pos
-        text = cur.texts[index]
-        # END, the one empty text, is last
-        if text and cur.texts[index + 1] == "=" and _kind(text) == "IDENT":
-            cur.pos += 2
-            if text in keywords:
-                raise cur.error(f"duplicate keyword {text!r}", index)
-            keywords[text] = (_parse_value(cur), index)
-        else:
-            positional.append((_parse_value(cur), index))
+    if texts[cur.pos] != ")":
+        while True:
+            index = cur.pos
+            text = texts[index]
+            first = text[:1]
+            # a name is not END, the last text, so one follows it
+            if (first.isalpha() or first == "_") and texts[index + 1] == "=":
+                cur.pos += 2
+                if text in keywords:
+                    raise cur.error(f"duplicate keyword {text!r}", index)
+                keywords[text] = (_parse_value(cur), index)
+            else:
+                positional.append((_parse_value(cur), index))
+            if texts[cur.pos] != ",":
+                break
+            cur.pos += 1
+    cur.expect(")")
     return positional, keywords
 
 
@@ -422,24 +488,25 @@ def _parse_call(cur: _Cursor, index: int) -> Tree:
     head = cur.texts[index]
     if head not in _SIGNATURES:
         raise cur.error(f"unknown constructor {head!r}", index)
-    count, required, missing, optional, args, build = _SIGNATURES[head]
+    count, _, missing, _, args, build = _SIGNATURES[head]
     if count is not None and len(pos) != count:
         raise cur.error(f"{head} takes {count} positional argument(s)", index)
-    extra = set(kw).difference(required + optional)
-    if extra:
-        raise cur.error(f"{head} got unexpected keyword(s) {sorted(extra)}", index)
-    if not set(required).issubset(kw):
+    accepted, needed = _KEYWORDS[head]
+    if not kw.keys() <= accepted:
+        raise cur.error(f"{head} got unexpected keyword(s) {sorted(kw.keys() - accepted)}", index)
+    if not kw.keys() >= needed:
         raise cur.error(missing, index)
     if args is None:
-        return build(pos, kw, cur, index)
+        return cur.intern(build(pos, kw, cur, index))
     values = []
     for key, convert, what in args:
         arg = pos[key] if type(key) is int else kw.get(key)
         values.append(None if arg is None else convert(*arg, what, cur))
     try:
-        return build(cur, *values)
+        tree = build(cur, *values)
     except ValueError as exc:  # a value the tree's data class refuses
         raise cur.error(str(exc), index) from None
+    return cur.intern(tree)
 
 
 def _parse_expr(cur: _Cursor) -> Tree:
@@ -574,7 +641,7 @@ def _parse_line(cur: _Cursor) -> Optional[Statement]:
             if cur.peek() == "mu":
                 cur.pos += 1
                 while _kind(cur.peek()) == "INT":
-                    orders.append(int(cur.next()))
+                    orders.append(int(cur.take("INT")))
                 if not orders:  # at ``mu``, after group torus <n>
                     raise cur.error("mu needs at least one order", 3)
             try:
