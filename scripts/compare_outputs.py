@@ -30,7 +30,11 @@ Prints one line per difference in stdout, stderr or exit code; exits 0
 when there is none.
 The corpus is taken from NEW_ROOT: the shipped scripts, every ``.slc``
 under ``tests/golden/``, and every script that ``bench/workloads.generate``
-makes at seed 7 (``bench/`` is imported, never written).  Each of them
+makes at seed 7 (``bench/`` is imported, never written), and one window
+script per built-in table and window: ``compute`` of a class-B tree,
+``report`` over the table, then ``compute`` of a class-C tree, on windows
+that straddle 0, lie wholly below or above it, are one degree wide, sit at
++-10^20 or span 6,001 degrees.  Each script but the window scripts
 also has a broken copy, seeded by its name: cut at a random character, or
 with one character of a random line replaced by a blank, punctuation, a
 quote, ``#``, ``;``, a letter, a digit or ``²``.  So the ``print`` and
@@ -126,6 +130,23 @@ json.dump(results, sys.stdout)
 """
 
 
+BUILTIN_TABLES = ("unit", "bott", "hcminus_rational", "rational_deg0")
+WINDOWS = [(-6, 6), (-30, -20), (20, 30), (0, 0), (-1, -1), (7, 7), (10**20 - 3, 10**20 + 3),
+           (-(10**20) - 3, -(10**20) + 3), (-3000, 3000)]
+
+
+def _window_script(table: str, lo: int, hi: int) -> str:
+    """compute and report of a class-B tree on the window, then compute of a
+    class-C one, unless the window reaches far above 0: a checkout that
+    densifies a class-C window from its lowest nonzero degree up to ``hi``
+    cannot hold it."""
+    lines = ["group trivial", "let w = cone_of_P1", "let x = node"]
+    lines += [f"compute w table={table} degrees={lo}..{hi}"]
+    lines += [f"report w kh={table} hcminus=hcminus_rational degrees={lo}..{hi}"]
+    lines += [f"compute x table={table} degrees={lo}..{hi}"] if hi <= 3000 else []
+    return "\n".join(lines) + "\n"
+
+
 def corpus(root: Path, work: Path) -> dict[str, str]:
     """Each script's name for the report, mapped to its path."""
     shipped = sorted(root.glob("scripts/*.slc")) + sorted((root / "tests/golden").rglob("*.slc"))
@@ -148,6 +169,14 @@ def corpus(root: Path, work: Path) -> dict[str, str]:
         text = _broken(Path(path).read_text(encoding="utf-8"), random.Random(name))
         broken.write_text(text, encoding="utf-8")
         scripts[f"broken/{name}"] = str(broken)
+    # no broken copies: a digit changed in a window bound could widen it to
+    # more degrees than memory holds
+    (work / "windows").mkdir()
+    for table in BUILTIN_TABLES:
+        for lo, hi in WINDOWS:
+            path = work / "windows" / f"{table}_{lo}_{hi}.slc"
+            path.write_text(_window_script(table, lo, hi))
+            scripts[f"windows/{path.name}"] = str(path)
     return scripts
 
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import partial
 from pathlib import Path
 from typing import Hashable, Optional, Union
 
@@ -140,16 +141,19 @@ class _Output:
             fields["schema"] = RECORD_SCHEMA
             self.lines.append(json.dumps(fields, sort_keys=True))
 
-    def degree_rows(
-        self, lead: str, command: str, lo: int, rows: list[Hashable], text_of, fields_of
-    ) -> None:
+    def degree_rows(self, lead: str, command: str, lo: int, rows, text_of, fields_of) -> None:
         """One line per row of a degree table, the first in degree ``lo``.
+        ``rows`` is the rows in degree order, or a read that hands them out
+        through a given function, called once per row it reads
+        (``GradedModuleValue.rows``, which reads a period, not every degree).
         Each distinct row is rendered once, in the requested format only: as
         ``lead``, the degree and ``text_of(row)``, or as the record of
         ``fields_of(row)`` with command and degree.  Every field sorts after
         "degree", so a record is a fixed head, the degree and the row's
         rendered tail.  Rows are told apart by identity first, and an object
-        equal to one already rendered shares its tail."""
+        equal to one already rendered shares its tail.  A row that fails to
+        render ends the table: the degrees below it are written, then its
+        error is raised."""
         if self.fmt == "text":
             head, render = lead, text_of
         else:
@@ -160,17 +164,32 @@ class _Output:
                 assert min(fields) > "degree"
                 return ", " + json.dumps(fields, sort_keys=True)[1:]
 
-        tails: dict[int, str] = {}
-        by_value: dict[Hashable, str] = {}
-        append = self.lines.append
-        for degree, row in enumerate(rows, lo):
-            tail = tails.get(id(row))
-            if tail is None:
-                tail = by_value.get(row)
-                if tail is None:
-                    tail = by_value[row] = render(row)
-                tails[id(row)] = tail
-            append(head + str(degree) + tail)
+        by_id: dict[int, object] = {}
+        by_value: dict[Hashable, object] = {}
+        failed: list[Exception] = []
+
+        def tail(row):
+            """The row's rendered tail, or the error its rendering raised."""
+            rendered = by_id.get(id(row))
+            if rendered is None:
+                rendered = by_value.get(row)
+                if rendered is None:
+                    try:
+                        rendered = render(row)
+                    except Exception as exc:
+                        rendered = exc
+                        failed.append(exc)
+                    by_value[row] = rendered
+                by_id[id(row)] = rendered
+            return rendered
+
+        tails = rows(tail) if callable(rows) else list(map(tail, rows))
+        if failed:
+            end = min(map(tails.index, failed))
+            error, tails = tails[end], tails[:end]
+        self.lines += [f"{head}{d}{t}" for d, t in zip(range(lo, lo + len(tails)), tails)]
+        if failed:
+            raise error
 
     def render(self) -> str:
         return "\n".join(self.lines) + ("\n" if self.lines else "")
@@ -293,7 +312,7 @@ def _run_compute(
         "  degree ",
         "compute",
         cmd.lo,
-        value.rows(cmd.lo, cmd.hi),
+        partial(value.rows, cmd.lo, cmd.hi),
         lambda g: f": {g.describe()}",
         lambda g: dict(target=cmd.target, table=table.name, flags=sorted(flags), **_group_fields(g)),
     )

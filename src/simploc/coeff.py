@@ -370,6 +370,39 @@ def _eliminate(matrix: tuple[tuple[int, ...], ...], augmented: bool) -> tuple[li
 # coefficient tables
 
 
+def overlay_rows(pairs, lo: int, hi: int, cycle=(), count: int = 0, through=None) -> list:
+    """The rows of degrees ``lo..hi``: the first ``count`` repeat ``cycle``,
+    the rest are zero, and each (degree, row) of ``pairs``, sorted by degree,
+    that lies inside the window is written over its degree.  ``through``, the
+    identity if None, maps every row: it is called once per cycle entry, once
+    for zero and once per pair inside the window, and only for a row that
+    some degree shows, so a row no degree shows is never mapped."""
+    width = hi - lo + 1
+    # (d,) sorts before every pair (d, g), and the degrees are distinct
+    inside = pairs[bisect_left(pairs, (lo,)) : bisect_left(pairs, (hi + 1,))]
+    zero = ZERO_GROUP
+    if through is not None:
+        # a cycle entry, or the zero past the cycle (key -1), shows unless
+        # the pairs over it cover every degree it fills
+        covering: dict[int, int] = {}
+        for d, _ in inside:
+            key = (d - lo) % len(cycle) if d - lo < count else -1
+            covering[key] = covering.get(key, 0) + 1
+        cycle = [
+            through(g) if covering.get(j, 0) <= (count - 1 - j) // len(cycle) else g
+            for j, g in enumerate(cycle)
+        ]
+        if covering.get(-1, 0) < width - count:
+            zero = through(ZERO_GROUP)
+        inside = [(d, through(g)) for d, g in inside]
+    out = [zero] * width
+    if count:
+        out[:count] = (cycle * (count // len(cycle) + 1))[:count]
+    for d, g in inside:
+        out[d - lo] = g
+    return out
+
+
 @dataclass(frozen=True)
 class Periodicity:
     """Support repeats with the given period.  A two-sided witness is an
@@ -433,27 +466,24 @@ class CoefficientTable:
             return stored.get(lo + (degree - lo) % self.periodicity.period, ZERO_GROUP)
         return ZERO_GROUP
 
-    def rows(self, lo: int, hi: int) -> list[FgAbGroup]:
-        """``[group_at(d) for d in range(lo, hi + 1)]`` without a lookup per
-        degree: the periodic rows are one period's, repeated, and the stored
-        rows inside the window are written over them.  Equal rows are one
+    def rows(self, lo: int, hi: int, through=None) -> list:
+        """``[through(group_at(d)) for d in range(lo, hi + 1)]`` without a
+        lookup per degree, ``through`` the identity if None: the periodic
+        rows are one period's, repeated, and the stored rows inside the
+        window are written over them (``overlay_rows``), so ``through`` is
+        called at most period + stored + 1 times.  Equal rows are one
         object."""
-        out = [ZERO_GROUP] * (hi - lo + 1)
         stored, periodicity = self.degree_groups, self.periodicity
+        cycle, count = [], 0
         if periodicity is not None:
             first, period = stored[0][0], periodicity.period
             # a one-sided period repeats below the lowest stored degree only
-            count = (hi if periodicity.two_sided else min(hi, first - 1)) - lo + 1
-            if count > 0:
-                # each degree's row of the first period (stored rows past it
-                # are written over below)
-                get, degrees = self._stored.get, range(lo, lo + min(count, period))
-                cycle = [get(first + (d - first) % period, ZERO_GROUP) for d in degrees]
-                out[:count] = (cycle * (count // len(cycle) + 1))[:count]
-        # (d,) sorts before every row (d, g), and the degrees are distinct
-        for d, g in stored[bisect_left(stored, (lo,)) : bisect_left(stored, (hi + 1,))]:
-            out[d - lo] = g
-        return out
+            count = max(0, (hi if periodicity.two_sided else min(hi, first - 1)) - lo + 1)
+            # each degree's row of the first period (stored rows past it
+            # are written over it)
+            get, degrees = self._stored.get, range(lo, lo + min(count, period))
+            cycle = [get(first + (d - first) % period, ZERO_GROUP) for d in degrees]
+        return overlay_rows(stored, lo, hi, cycle, count, through)
 
     @property
     def min_degree(self) -> int | None:

@@ -24,6 +24,7 @@ from .coeff import (
     SmithForm,
     builtin_table,
     direct_sum,
+    overlay_rows,
     snf,
     summand_complement,
     tensor_with_free,
@@ -281,24 +282,47 @@ def ring_degree0(tree: Tree, group: GroupDatum) -> RingPresentation:
 # graded values
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class DegreeWindow:
-    """Exact degreewise values on [lo, hi], dense and sorted; lo is the lowest
-    nonzero degree (hi if none), degrees below it are zero."""
+    """Exact degreewise values up to hi; lo is the lowest nonzero degree (hi
+    if none), degrees below it are zero.  ``support`` holds sorted (degree,
+    value) pairs of [lo, hi] and every degree it does not list is zero: the
+    solver lists the nonzero degrees only, so a window costs its support,
+    not its width.  The dense pairs, ``values``, are built on first read."""
 
-    values: tuple[tuple[int, FgAbGroup], ...]
+    support: tuple[tuple[int, FgAbGroup], ...]
     lo: int
     hi: int
     assumed_oracles: tuple[str, ...] = ()
+
+    @cached_property
+    def _by_degree(self) -> dict[int, FgAbGroup]:
+        return dict(self.support)
+
+    @cached_property
+    def values(self) -> tuple[tuple[int, FgAbGroup], ...]:
+        """Every degree of [lo, hi] with its value."""
+        return tuple(zip(range(self.lo, self.hi + 1), self.rows(self.lo, self.hi)))
+
+    def __repr__(self) -> str:
+        return (
+            f"DegreeWindow(values={self.values!r}, lo={self.lo!r}, hi={self.hi!r}, "
+            f"assumed_oracles={self.assumed_oracles!r})"
+        )
 
     def value_at(self, degree: int) -> FgAbGroup:
         if degree > self.hi:
             raise UnderdeterminedError(
                 f"degree {degree} lies above the solved window [{self.lo}, {self.hi}]"
             )
-        if degree < self.lo:
-            return ZERO_GROUP
-        return self.values[degree - self.lo][1]
+        return self._by_degree.get(degree, ZERO_GROUP)
+
+    def rows(self, lo: int, hi: int, through=None) -> list:
+        """``[through(value_at(d)) for d in range(lo, hi + 1)]`` from the
+        support (``overlay_rows``), ``through`` the identity if None."""
+        if hi > self.hi:
+            self.value_at(max(lo, self.hi + 1))  # raises, as value_at would
+        return overlay_rows(self.support, lo, hi, through=through)
 
 
 @dataclass(frozen=True)
@@ -340,21 +364,17 @@ class GradedModuleValue:
         assert self.window is not None
         return self.window.value_at(degree)
 
-    def rows(self, lo: int, hi: int) -> list[FgAbGroup]:
-        """``[value_at(d) for d in range(lo, hi + 1)]`` without a lookup per
-        degree; equal rows of the formal shape are one object."""
+    def rows(self, lo: int, hi: int, through=None) -> list:
+        """``[through(value_at(d)) for d in range(lo, hi + 1)]`` without a
+        lookup per degree, ``through`` the identity if None.  The formal
+        shape tensors and maps each row of the table's period once, however
+        wide the window; equal rows of it are one object."""
         if self.shape == "formal":
             assert self.table is not None
-            tensored = self._tensored
-            # a group is never falsy: a miss is tensored, in degree order
-            return [tensored.get(id(g)) or self._tensor_of(g) for g in self.table.rows(lo, hi)]
-        window = self.window
-        assert window is not None
-        if hi > window.hi:
-            window.value_at(max(lo, window.hi + 1))  # raises, as value_at would
-        zeros = [ZERO_GROUP] * max(0, min(hi + 1, window.lo) - lo)
-        start = max(lo, window.lo)
-        return zeros + [g for _, g in window.values[start - window.lo : hi + 1 - window.lo]]
+            tensor = self._tensor_of
+            return self.table.rows(lo, hi, tensor if through is None else lambda g: through(tensor(g)))
+        assert self.window is not None
+        return self.window.rows(lo, hi, through)
 
 
 def formal_value_of_table(table: CoefficientTable, group: GroupDatum) -> GradedModuleValue:
@@ -572,8 +592,8 @@ def _explicit_eval(
     from its rank and the table's rows, class C from its children's maps.
     Nothing under a node that fails before reading its children is read, so
     on a tree the first failure is the one a depth-first evaluation meets.
-    Only the root becomes a dense window, with oracle paths.  ``witnesses``
-    collects a root square's witnesses.
+    The root's map becomes its window, with oracle paths; no degree is
+    densified.  ``witnesses`` collects a root square's witnesses.
     """
     _computable_tag(tree, group)
     if not group.is_trivial:
@@ -617,9 +637,8 @@ def _explicit_eval(
         # the one place a node's map keeps its nonzero degrees only
         values[id(node)] = {d: g for d, g in value.items() if not g.is_zero}
     root = values[id(tree)]
-    lo = min(root, default=hi)
-    dense = tuple((d, root.get(d, ZERO_GROUP)) for d in range(lo, hi + 1))
-    return DegreeWindow(dense, lo, hi, children_first(classify(tree).assumed_oracles))
+    oracles = children_first(classify(tree).assumed_oracles)
+    return DegreeWindow(tuple(sorted(root.items())), min(root, default=hi), hi, oracles)
 
 
 def compute_graded(

@@ -32,6 +32,7 @@ forms only, and parse(print(tree)) round-trips.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Union, get_args
 
@@ -67,6 +68,11 @@ class ScriptError(Exception):
         super().__init__(f"line {line}:{col}: {message}")
         self.line = line
         self.col = col
+
+
+class LiteralError(ScriptError, ValueError):
+    """An integer literal with more digits than ``int`` reads from a string
+    (4,300 by default): the ValueError of its conversion, at its token."""
 
 
 # ---------------------------------------------------------------------------
@@ -691,8 +697,14 @@ def parse(text: str, normalize_j_sequences: bool = False) -> Script:
             statement = _parse_line(cur)
         except (ValueError, RecursionError):
             # an integer too long to convert or an expression nested too
-            # deeply; a malformed token on the line is reported first
-            _tokenize_line(raw, lineno)
+            # deeply; a malformed token on the line is reported first, then
+            # the first integer too long
+            limit = sys.get_int_max_str_digits()
+            for tok in _tokenize_line(raw, lineno):
+                digits = len(tok.text.lstrip("-"))
+                if tok.kind == "INT" and 0 < limit < digits:
+                    message = f"integer literal of {digits} digits exceeds the limit of {limit}"
+                    raise LiteralError(message, tok.line, tok.col) from None
             raise
         if statement is not None:
             statements.append(statement)
