@@ -176,7 +176,7 @@ class _Output:
                 if rendered is None:
                     try:
                         rendered = render(row)
-                    except Exception as exc:
+                    except Exception as exc:  # raised once the degrees below are written
                         rendered = exc
                         failed.append(exc)
                     by_value[row] = rendered

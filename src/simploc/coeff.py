@@ -388,18 +388,18 @@ def overlay_rows(pairs, lo: int, hi: int, cycle=(), count: int = 0, through=None
         for d, _ in inside:
             key = (d - lo) % len(cycle) if d - lo < count else -1
             covering[key] = covering.get(key, 0) + 1
-        cycle = [
-            through(g) if covering.get(j, 0) <= (count - 1 - j) // len(cycle) else g
-            for j, g in enumerate(cycle)
-        ]
+        if count:
+            cycle = [
+                through(g) if covering.get(j, 0) <= (count - 1 - j) // len(cycle) else g
+                for j, g in enumerate(cycle)
+            ]
         if covering.get(-1, 0) < width - count:
             zero = through(ZERO_GROUP)
-        inside = [(d, through(g)) for d, g in inside]
     out = [zero] * width
     if count:
         out[:count] = (cycle * (count // len(cycle) + 1))[:count]
     for d, g in inside:
-        out[d - lo] = g
+        out[d - lo] = g if through is None else through(g)
     return out
 
 
