@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 r"""Statement census: which statements of ``src/simploc`` does the test suite never run?
 
-    python scripts/line_coverage.py [--check]
+    python scripts/line_coverage.py [--check | --cli]
 
 Runs the tests under ``tests/`` in this process with a ``sys.settrace``
 line collector and prints, for each ``src/simploc`` module, the statements
@@ -17,12 +17,25 @@ the interpreter's limit).  Each test during which tracing was lost is
 named: a statement reached only after the loss reads as unreached.  With
 ``--check`` the script exits 1 when a statement is unreached or a test
 fails.  Takes about 2-3 minutes; it is stdlib and pytest only.
+
+With ``--cli`` the same statement rules are applied to ``cli.main`` runs
+instead of the tests: ``run`` and ``check``, in text and records, of every
+``.slc`` under ``tests/golden/`` and ``scripts/`` and of each workload's
+generated scripts at seed 1101 (``bench/workloads.generate``, imported and
+never written; the scripts and their table files go to a temporary
+directory).  The unreached statements are listed by the function, class
+body or module that holds them, and each run that raised out of
+``cli.main`` is named.  Tracing is armed again before each run.  Takes
+about a minute.
 """
 
 import ast
+import io
 import os
 import re
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
@@ -60,6 +73,25 @@ def statements(source: str) -> list[tuple[int, range]]:
     return sorted(found)
 
 
+def owners(source: str) -> dict[int, str]:
+    """Each statement's first line, mapped to the qualified name of the
+    function or class whose body holds it, or ``<module>``."""
+    found: dict[int, str] = {}
+
+    def visit(node: ast.AST, owner: str, prefix: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.stmt):
+                first = min([child.lineno] + [d.lineno for d in getattr(child, "decorator_list", ())])
+                found[first] = owner
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, prefix + child.name, prefix + child.name + ".")
+            else:
+                visit(child, owner, prefix)
+
+    visit(ast.parse(source), "<module>", "")
+    return found
+
+
 def _collector(add):
     def local(frame, event, arg):
         if event == "line":
@@ -70,7 +102,7 @@ def _collector(add):
 
 
 class Census:
-    """A pytest plugin that arms the line collector before each test."""
+    """The line collector, and a pytest plugin that arms it before each test."""
 
     def __init__(self, files: list[Path]):
         self.hits = {str(path): set() for path in files}
@@ -94,9 +126,51 @@ class Census:
             self.lost.append(item.nodeid)
 
 
+def cli_scripts(work: Path) -> list[Path]:
+    """The shipped and golden scripts, then each workload's generated scripts
+    at seed 1101, written under ``work`` with their side files."""
+    scripts = sorted(ROOT.glob("scripts/*.slc")) + sorted((ROOT / "tests/golden").rglob("*.slc"))
+    sys.path.insert(0, str(ROOT / "bench"))
+    import workloads
+
+    for workload in workloads.WORKLOADS:
+        for i, case in enumerate(workloads.generate(workload, 1101)):
+            if case.shipped is not None:
+                continue
+            directory = work / workload / f"{i:03d}"
+            directory.mkdir(parents=True)
+            for name, text in {f"{case.name}.slc": case.text, **case.files}.items():
+                (directory / name).write_text(text)
+            scripts.append(directory / f"{case.name}.slc")
+    return scripts
+
+
+def run_cli(census: Census) -> list[str]:
+    """Runs the ``--cli`` corpus through ``cli.main``, tracing; the runs that
+    raised out of it."""
+    from simploc.cli import main
+
+    raised = []
+    with tempfile.TemporaryDirectory() as work:
+        for script in cli_scripts(Path(work)):
+            for command in ("run", "check"):
+                for fmt in ("text", "records"):
+                    argv = [command, "--format", fmt, str(script)]
+                    sys.settrace(census.trace)
+                    try:
+                        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+                            main(argv)
+                    except Exception as exc:
+                        raised.append(f"{' '.join(argv)}: {type(exc).__name__}")
+                    if sys.gettrace() is not census.trace:
+                        census.lost.append(" ".join(argv))
+                    sys.settrace(None)
+    return raised
+
+
 def main(argv: list[str]) -> int:
-    check = argv == ["--check"]
-    if argv and not check:
+    check, cli = argv == ["--check"], argv == ["--cli"]
+    if argv and not (check or cli):
         print(__doc__.split("\n\n")[1], file=sys.stderr)
         return 2
     files = sorted(PACKAGE.glob("*.py"))
@@ -105,7 +179,10 @@ def main(argv: list[str]) -> int:
     # armed before the package is imported, so module-level statements count
     sys.settrace(census.trace)
     try:
-        tests_failed = pytest.main(["-q", "-p", "no:cacheprovider", str(ROOT / "tests")], plugins=[census])
+        if cli:
+            raised = run_cli(census)
+        else:
+            tests_failed = pytest.main(["-q", "-p", "no:cacheprovider", str(ROOT / "tests")], plugins=[census])
     finally:
         sys.settrace(None)
 
@@ -124,11 +201,23 @@ def main(argv: list[str]) -> int:
             f"{path.relative_to(ROOT)}: {len(missed)} of {len(counted)} statements unreached, "
             f"{code_lines} counted lines"
         )
+        if cli:
+            owner = owners(source)
+            by_owner: dict[str, list[int]] = {}
+            for first in missed:
+                by_owner.setdefault(owner[first], []).append(first)
+            for name, firsts in by_owner.items():
+                print(f"  {name}: {len(firsts)}, lines {' '.join(map(str, firsts))}")
+            continue
         for first in missed:
             print(f"  {first}: {lines[first - 1].strip()}")
     print(f"total: {unreached} of {total} statements unreached, {lines_total} counted lines")
-    for nodeid in census.lost:
-        print(f"tracing lost during {nodeid}")
+    for run in census.lost:
+        print(f"tracing lost during {run}")
+    if cli:
+        for run in raised:
+            print(f"raised out of cli.main: {run}")
+        return 0
     return 1 if check and (unreached or tests_failed) else 0
 
 

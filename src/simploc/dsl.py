@@ -320,6 +320,10 @@ def _own_violations(node: Tree, group: GroupDatum) -> list[str]:
         for degree, matrix in node.comparison_maps:
             if len({len(row) for row in matrix}) > 1:
                 bad(f"comparison map at degree {degree} is ragged")
+        # the maps are sorted, so a repeated degree's entries are adjacent
+        degrees = [degree for degree, _ in node.comparison_maps]
+        for degree in sorted({d for d, before in zip(degrees[1:], degrees) if d == before}):
+            bad(f"comparison maps give degree {degree} more than once")
     return out
 
 

@@ -23,10 +23,12 @@ Gr(n, d), Flag(n, d=(...)), hirzebruch(m), cusp, node, cone_of_P1,
 cone(expr, twist), schubert(...), affine(...)) or explicit node forms
 (disjoint, flagbundle, descent, blowup, henselian).  Parentheses always
 build tuples, so nesting is unambiguous; ``maps=[deg: ((..),(..)), ...]``
-attaches comparison matrices per degree.  Every tree a call builds is
-interned in that parse's table (``_Cursor.intern``), so equal subtrees that
-a script writes are one node.  The printer, one ``dsl.fold``, emits explicit
-forms only, and parse(print(tree)) round-trips.
+attaches comparison matrices per degree.  A call is looked up by its head
+and converted arguments, trees by id, in that parse's table
+(``_Cursor.calls``) before its builder runs, so the calls a script writes
+twice with equal arguments, library calls included, are one tree.  The
+printer, one ``dsl.fold``, emits explicit forms only, and
+parse(print(tree)) round-trips.
 """
 
 from __future__ import annotations
@@ -136,29 +138,6 @@ def _tokenize_line(text: str, line: int) -> list[Token]:
     return out
 
 
-def _key(node: Tree) -> tuple:
-    """The intern key of a node: its type, its data and its children's ids.
-    The parser interns every tree it builds before the trees built on it, so
-    equal subtrees get equal keys.  A key holds no node, so no node is hashed
-    (the dataclass hash recurses through the whole tree)."""
-    kind = type(node)
-    if kind is FlagBundle:
-        b = node.bundle
-        return kind, id(node.base), b.rank, b.split_characters, b.twist_labels, node.d_vec
-    if kind is Point:
-        return (kind,)
-    if kind is Disjoint:
-        return kind, *map(id, node.children)
-    if kind is StratifiedDescent:
-        s = node.sheaf
-        return (kind, id(node.total_space), s.generic_rank, s.presentation_ranks, node.d_vec,
-                node.oracle_rank)
-    if kind is Blowup:
-        known = tuple((label, id(kid)) for label, kid in node.known)
-        return kind, known, node.unknown_corner, node.split, node.comparison_maps
-    return kind, node.p
-
-
 class _Cursor:
     """A script's parse state.  What the script has declared so far: its
     group (None before the ``group`` line), its ``let`` names and its table
@@ -168,24 +147,21 @@ class _Cursor:
     error, by scanning the line again, which reports a malformed token on
     the line before any other error.
 
-    The cursor also holds the parse's intern table: every tree a call
-    builds is replaced by the table's node equal to it, if there is one, so
-    each subtree the script writes twice is one object.  A library entry's
-    own nodes below its root are kept as its builder makes them; their ids
-    are in no other key.  The table lives as long as the cursor, so no node
-    is shared between two parses."""
+    The cursor also holds the parse's one intern table, ``calls``: the tree
+    of each call by its head and converted arguments, each tree argument by
+    its id, and the tree of each ``NULLARY`` name by ``(name,)``.  A call is
+    looked up before its builder runs, so each call the script writes twice
+    with equal arguments is built once and is one object, library calls
+    included.  The nodes a library builder makes below its root are not in
+    the table.  The table lives as long as the cursor, so no node is shared
+    between two parses."""
 
     def __init__(self, normalize: bool):
         self.group: Optional[GroupDatum] = None
         self.names: dict[str, Tree] = {}
         self.tables: set[str] = set()
         self.normalize = normalize
-        self.interned: dict[tuple, Tree] = {}  # each interned node by its _key
-        self.nullary: dict[str, Tree] = {}  # each NULLARY name's tree, once built
-
-    def intern(self, node: Tree) -> Tree:
-        """The interned node equal to ``node``, or ``node``, now interned."""
-        return self.interned.setdefault(_key(node), node)
+        self.calls: dict[tuple, Tree] = {}
 
     def start(self, raw: str, line: int) -> None:
         """Aim the cursor at the first token of ``raw``, the script's line ``line``."""
@@ -231,13 +207,13 @@ class _Cursor:
         """The tree a name stands for; the name's token is at ``index``."""
         if name in self.names:
             return self.names[name]
-        if name in self.nullary:
-            return self.nullary[name]
-        if name in NULLARY:
+        if name not in NULLARY:
+            raise self.error(f"undefined name {name!r}", index)
+        tree = self.calls.get((name,))
+        if tree is None:
             tree = Point() if name == "point" else example_library(name, group=self.group)
-            tree = self.nullary[name] = self.intern(tree)
-            return tree
-        raise self.error(f"undefined name {name!r}", index)
+            self.calls[(name,)] = tree
+        return tree
 
 
 # ---------------------------------------------------------------------------
@@ -350,6 +326,7 @@ def _as_chars(value: ArgValue, index: int, what: str, cur: _Cursor) -> tuple[tup
 
 
 _TREE_KINDS = get_args(Tree)
+_TREE_TYPES = frozenset(_TREE_KINDS)
 
 
 def _as_tree(value: ArgValue, index: int, what: str, cur: _Cursor) -> Tree:
@@ -375,13 +352,15 @@ def _schubert(cur: _Cursor, n: int, d: int, j: tuple[int, ...]) -> Tree:
     return finite_schubert_tree(normalize_j(datum) if cur.normalize else datum, cur.group)
 
 
-def _disjoint(pos: list, kw: dict, cur: _Cursor, head: int) -> Tree:
-    return Disjoint(tuple(_as_tree(*arg, "", cur) for arg in pos))
+def _disjoint(pos: list, kw: dict, cur: _Cursor, head: int) -> tuple:
+    return tuple(_as_tree(*arg, "", cur) for arg in pos)
 
 
-def _blowup(pos: list, kw: dict, cur: _Cursor, head: int) -> Tree:
-    """The corners are checked in order, each before its tree is converted;
-    an error is reported at the keyword it names."""
+def _blowup(pos: list, kw: dict, cur: _Cursor, head: int) -> tuple:
+    """The unknown corner, the split, the maps sorted as the node sorts
+    them, then each known corner's label and tree in corner order.  The
+    corners are checked in order, each before its tree is converted; an
+    error is reported at the keyword it names."""
     if pos:
         raise cur.error("blowup takes keyword arguments only", head)
     unknown = "X"
@@ -406,15 +385,15 @@ def _blowup(pos: list, kw: dict, cur: _Cursor, head: int) -> Tree:
             raise cur.error(f"blowup is missing corner {label}=", head)
         val, key = kw[label]
         # a corner that is a name is resolved at the name, after ``label=``
-        known.append((label, _as_tree(val, key + 2 if type(val) is str else key, label, cur)))
+        known += (label, _as_tree(val, key + 2 if type(val) is str else key, label, cur))
     maps: tuple[tuple[int, tuple[tuple[int, ...], ...]], ...] = ()
     if "maps" in kw:
         val, key = kw["maps"]
         if type(val) is not list:
             raise cur.error("maps= must be a [degree: matrix, ...] literal", key)
         errors = "matrix must be a tuple of row tuples", "matrix rows must be integer tuples"
-        maps = tuple((deg, _as_rows(m, key, cur, *errors)) for deg, m in val)
-    return Blowup(tuple(known), unknown, split, maps)
+        maps = tuple(sorted((deg, _as_rows(m, key, cur, *errors)) for deg, m in val))
+    return unknown, split, maps, *known
 
 
 NULLARY = ("point", "cusp", "node", "cone_of_P1")
@@ -423,9 +402,8 @@ NULLARY = ("point", "cusp", "node", "cone_of_P1")
 # keywords it accepts, its arguments in conversion order as (positional
 # index or keyword, converter, name in messages), and the builder called
 # with the cursor and the converted arguments (None for an optional keyword
-# left out).  Without an argument list the builder converts its own
-# arguments from (positional, keywords, cursor, head token).
-# ``_parse_call`` interns the tree a builder returns.
+# left out).  Without an argument list, the head's entry of ``_CONVERTERS``
+# converts its arguments from (positional, keywords, cursor, head token).
 _SIGNATURES: dict[str, tuple] = {
     "P": (1, (), "", (), ((0, _as_int, "dimension"),), _library("projective_space")),
     "Gr": (2, (), "", (), ((0, _as_int, "n"), (1, _as_int, "d")), _library("grassmannian")),
@@ -439,7 +417,7 @@ _SIGNATURES: dict[str, tuple] = {
     "affine": (1, ("mu",), "affine needs mu=(...)", (),
                ((0, _as_int, "n"), ("mu", _as_int_tuple, "mu")),
                lambda cur, n, mu: affine_schubert_tree(CoweightDatum(n, mu), cur.group)),
-    "disjoint": (None, (), "", (), None, _disjoint),
+    "disjoint": (None, (), "", (), None, lambda cur, *kids: Disjoint(kids)),
     "flagbundle": (1, ("rank", "d"), "flagbundle needs rank= and d=", ("chars", "twists"),
                    (("chars", _as_chars, "chars"), ("twists", _as_int_tuple, "twists"),
                     (0, _as_tree, "base"), ("rank", _as_int, "rank"), ("d", _as_int_tuple, "d")),
@@ -450,9 +428,12 @@ _SIGNATURES: dict[str, tuple] = {
                  (0, _as_tree, "base"), ("rank", _as_int, "rank"), ("d", _as_int_tuple, "d")),
                 lambda cur, pres, oracle, base, rank, d:
                 StratifiedDescent(base, SheafDatum(rank, pres), d, oracle)),
-    "blowup": (None, (), "", ("unknown", "split", *BLOWUP_CORNERS, "maps"), None, _blowup),
+    "blowup": (None, (), "", ("unknown", "split", *BLOWUP_CORNERS, "maps"), None,
+               lambda cur, unknown, split, maps, *known:
+               Blowup(tuple(zip(known[::2], known[1::2])), unknown, split, maps)),
     "henselian": (1, (), "", (), ((0, _as_int, "prime"),), lambda cur, p: HenselianBase(p)),
 }
+_CONVERTERS = {"disjoint": _disjoint, "blowup": _blowup}
 # each call head's accepted keywords and required keywords
 _KEYWORDS = {
     head: (frozenset(required + optional), frozenset(required))
@@ -503,16 +484,27 @@ def _parse_call(cur: _Cursor, index: int) -> Tree:
     if not kw.keys() >= needed:
         raise cur.error(missing, index)
     if args is None:
-        return cur.intern(build(pos, kw, cur, index))
-    values = []
-    for key, convert, what in args:
-        arg = pos[key] if type(key) is int else kw.get(key)
-        values.append(None if arg is None else convert(*arg, what, cur))
+        values = _CONVERTERS[head](pos, kw, cur, index)
+    else:
+        values = []
+        for key, convert, what in args:
+            arg = pos[key] if type(key) is int else kw.get(key)
+            values.append(None if arg is None else convert(*arg, what, cur))
+    # a tree argument is keyed by its id: every builder keeps its tree
+    # arguments as children of the tree it returns, which the table holds,
+    # so no id in a key is reused while the table lives
+    call = (head, *[id(v) if type(v) in _TREE_TYPES else v for v in values])
+    tree = cur.calls.get(call)
+    if tree is not None:
+        return tree
     try:
         tree = build(cur, *values)
     except ValueError as exc:  # a value the tree's data class refuses
         raise cur.error(str(exc), index) from None
-    return cur.intern(tree)
+    if type(tree) is Point:  # a Schubert tower with no step: the script's point
+        tree = cur.resolve("point", index)
+    cur.calls[call] = tree
+    return tree
 
 
 def _parse_expr(cur: _Cursor) -> Tree:
