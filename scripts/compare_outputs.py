@@ -147,15 +147,16 @@ def _window_script(table: str, lo: int, hi: int) -> str:
     return "\n".join(lines) + "\n"
 
 
-def corpus(root: Path, work: Path) -> dict[str, str]:
-    """Each script's name for the report, mapped to its path."""
-    shipped = sorted(root.glob("scripts/*.slc")) + sorted((root / "tests/golden").rglob("*.slc"))
-    scripts = {str(path.relative_to(root)): str(path) for path in shipped}
+def generated(root: Path, work: Path, seed: int) -> dict[str, str]:
+    """Each workload's generated scripts at ``seed`` but the shipped ones,
+    written under ``work`` with their side files: each script's name for
+    the report, mapped to its path.  ``bench/`` is imported, never written."""
     sys.path.insert(0, str(root / "bench"))
     import workloads
 
+    scripts = {}
     for workload in workloads.WORKLOADS:
-        for i, case in enumerate(workloads.generate(workload, 7)):
+        for i, case in enumerate(workloads.generate(workload, seed)):
             if case.shipped is not None:
                 continue
             directory = work / workload / f"{i:03d}"
@@ -163,6 +164,14 @@ def corpus(root: Path, work: Path) -> dict[str, str]:
             for name, text in {f"{case.name}.slc": case.text, **case.files}.items():
                 (directory / name).write_text(text)
             scripts[f"{workload}/{i:03d}/{case.name}.slc"] = str(directory / f"{case.name}.slc")
+    return scripts
+
+
+def corpus(root: Path, work: Path) -> dict[str, str]:
+    """Each script's name for the report, mapped to its path."""
+    shipped = sorted(root.glob("scripts/*.slc")) + sorted((root / "tests/golden").rglob("*.slc"))
+    scripts = {str(path.relative_to(root)): str(path) for path in shipped}
+    scripts.update(generated(root, work, 7))
     for name, path in list(scripts.items()):
         broken = work / "broken" / name
         broken.parent.mkdir(parents=True, exist_ok=True)

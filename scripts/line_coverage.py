@@ -126,23 +126,14 @@ class Census:
             self.lost.append(item.nodeid)
 
 
-def cli_scripts(work: Path) -> list[Path]:
+def cli_scripts(work: Path) -> list[str]:
     """The shipped and golden scripts, then each workload's generated scripts
     at seed 1101, written under ``work`` with their side files."""
-    scripts = sorted(ROOT.glob("scripts/*.slc")) + sorted((ROOT / "tests/golden").rglob("*.slc"))
-    sys.path.insert(0, str(ROOT / "bench"))
-    import workloads
+    sys.path.insert(0, str(ROOT / "scripts"))
+    from compare_outputs import generated
 
-    for workload in workloads.WORKLOADS:
-        for i, case in enumerate(workloads.generate(workload, 1101)):
-            if case.shipped is not None:
-                continue
-            directory = work / workload / f"{i:03d}"
-            directory.mkdir(parents=True)
-            for name, text in {f"{case.name}.slc": case.text, **case.files}.items():
-                (directory / name).write_text(text)
-            scripts.append(directory / f"{case.name}.slc")
-    return scripts
+    shipped = sorted(ROOT.glob("scripts/*.slc")) + sorted((ROOT / "tests/golden").rglob("*.slc"))
+    return [*map(str, shipped), *generated(ROOT, work, 1101).values()]
 
 
 def run_cli(census: Census) -> list[str]:
@@ -155,7 +146,7 @@ def run_cli(census: Census) -> list[str]:
         for script in cli_scripts(Path(work)):
             for command in ("run", "check"):
                 for fmt in ("text", "records"):
-                    argv = [command, "--format", fmt, str(script)]
+                    argv = [command, "--format", fmt, script]
                     sys.settrace(census.trace)
                     try:
                         with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):

@@ -325,15 +325,14 @@ def _as_chars(value: ArgValue, index: int, what: str, cur: _Cursor) -> tuple[tup
     return _as_rows(value, index, cur, outer, f"{what} entries must be integer tuples")
 
 
-_TREE_KINDS = get_args(Tree)
-_TREE_TYPES = frozenset(_TREE_KINDS)
+_TREE_KINDS = frozenset(get_args(Tree))
 
 
 def _as_tree(value: ArgValue, index: int, what: str, cur: _Cursor) -> Tree:
     """A tree, or the tree a name stands for; the message names no argument."""
     if type(value) is str:
         return cur.resolve(value, index)
-    if isinstance(value, _TREE_KINDS):
+    if type(value) in _TREE_KINDS:
         return value
     raise cur.error("expected a tree expression", index)
 
@@ -493,7 +492,7 @@ def _parse_call(cur: _Cursor, index: int) -> Tree:
     # a tree argument is keyed by its id: every builder keeps its tree
     # arguments as children of the tree it returns, which the table holds,
     # so no id in a key is reused while the table lives
-    call = (head, *[id(v) if type(v) in _TREE_TYPES else v for v in values])
+    call = (head, *[id(v) if type(v) in _TREE_KINDS else v for v in values])
     tree = cur.calls.get(call)
     if tree is not None:
         return tree
