@@ -8,10 +8,14 @@ script of the corpus with each checkout's ``src/``, and ``print``s each
 script: ``print_script(parse(text))``, once plain and once with
 ``normalize_j_sequences=True``, or the parse error.  The ``print`` mode
 catches a parse change that never reaches the output of ``run`` or
-``check``.  The ``snf`` mode prints the fields ``(factors, rank, rows,
-cols, left, right)`` of ``snf(m)`` for every ``maps=`` matrix of each script
-(or the parse error), so the Smith factors and both transforms are compared
-bit for bit, not only the groups read from them; the transforms are named
+``check``.  The ``snf`` modes read ``snf(m)`` for every ``maps=`` matrix of
+each script (or the parse error), so the Smith forms are compared bit for
+bit, not only the groups read from them.  ``snf factors`` prints
+``(factors, rank, rows, cols)`` and whether the form is valid: ``left`` @ m
+@ ``right`` is the diagonal of ``factors``, and both transforms have
+determinant +-1.  ``snf transforms`` prints ``left``, ``right`` and the bit
+length of their largest entry.  So a change of elimination that keeps the
+forms valid differs in ``snf transforms`` only.  The transforms are named
 because a checkout that eliminates them on first read leaves them out of
 the repr.
 The ``tokens`` mode prints ``_tokenize_line``'s tokens (or its error) for
@@ -50,7 +54,8 @@ import tempfile
 from pathlib import Path
 
 MODES = [(command, fmt) for command in ("run", "check") for fmt in ("text", "records")]
-MODES += [("print", "plain"), ("print", "normalize-j"), ("snf", "maps"), ("tokens", "lines")]
+MODES += [("print", "plain"), ("print", "normalize-j"), ("snf", "factors"), ("snf", "transforms")]
+MODES += [("tokens", "lines")]
 MODES += [("degree0", "lets"), ("witness", "lets")]
 
 # run in one process per checkout: reads [[script, command, fmt], ...] on
@@ -109,10 +114,34 @@ def parsed_only(script, command, fmt):
     for degree, matrix in maps:
         try:
             form = snf(matrix)
-            print(f"{degree}: {(form.factors, form.rank, form.rows, form.cols, form.left, form.right)}")
+            if fmt == "factors":
+                print(f"{degree}: {(form.factors, form.rank, form.rows, form.cols)}, valid {valid(matrix, form)}")
+                continue
+            bits = max((abs(x).bit_length() for t in (form.left, form.right) for row in t for x in row), default=0)
+            print(f"{degree}: left {form.left}, right {form.right}, largest entry {bits} bits")
         except ValueError as exc:
             print(f"{degree}: {exc}")
     return 0
+# the determinant by Bareiss's fraction-free elimination
+def det(m):
+    m, sign, last = [list(row) for row in m], 1, 1
+    for k in range(len(m)):
+        p = next((i for i in range(k, len(m)) if m[i][k]), None)
+        if p is None:
+            return 0
+        if p != k:
+            m[k], m[p], sign = m[p], m[k], -sign
+        for i in range(k + 1, len(m)):
+            m[i] = [0] * (k + 1) + [(m[i][j] * m[k][k] - m[i][k] * m[k][j]) // last for j in range(k + 1, len(m))]
+        last = m[k][k]
+    return sign * last
+# left @ a @ right is the diagonal of the factors, and det = +-1 on both sides
+def valid(a, form):
+    left, right, rows, cols = form.left, form.right, form.rows, form.cols
+    la = [[sum(left[i][k] * a[k][j] for k in range(rows)) for j in range(cols)] for i in range(rows)]
+    product = [[sum(row[k] * right[k][j] for k in range(cols)) for j in range(cols)] for row in la]
+    diagonal = [[form.factors[i] if i == j and i < form.rank else 0 for j in range(cols)] for i in range(rows)]
+    return product == diagonal and abs(det(left)) == 1 == abs(det(right))
 results = []
 for script, command, fmt in json.load(sys.stdin):
     out, err = io.StringIO(), io.StringIO()

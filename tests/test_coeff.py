@@ -224,6 +224,113 @@ def test_snf_transforms_on_first_read_diagonalize(a):
     assert product == [[s.factors[i] if i == j and i < s.rank else 0 for j in range(cols)] for i in range(rows)]
 
 
+def _assert_smith(a, s):
+    """L A R = diag(factors) with |det L| = |det R| = 1."""
+    left, right = [list(r) for r in s.left], [list(r) for r in s.right]
+    rows, cols = s.rows, s.cols
+    # summed out, as matmul needs a column
+    product = [[sum(left[i][k] * a[k][j] for k in range(rows)) for j in range(cols)] for i in range(rows)]
+    product = [[sum(row[k] * right[k][j] for k in range(cols)) for j in range(cols)] for row in product]
+    assert product == [[s.factors[i] if i == j and i < s.rank else 0 for j in range(cols)] for i in range(rows)]
+    assert abs(det_over_q(left)) == 1 and abs(det_over_q(right)) == 1
+
+
+# les_solve's planted25 map at bench seed 1105: a planted chain mixed by 50
+# row and column operations with multipliers +-1
+_PLANTED25 = (
+    (-447, 0, 0, -7, -7, -455, 7, 0, 0, 455, 0, 0, 0, 7, -7, 0, 0, -7, 0, 0, 0, 0, 0, 0, 0),
+    (57330, 1, 0, 0, 0, 0, 0, -57330, 0, -1, 0, 57330, 0, 0, 0, 0, 0, 0, 0, 0, 57330, 0, 0, 0, 0),
+    (0, 0, 7, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0),
+    (0, 0, 0, 7, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0),
+    (-7, 0, 0, 7, 7, 0, -7, 0, 0, 0, 0, 0, 0, -7, 7, 0, 0, 7, 0, 0, 0, 0, 0, 0, 0),
+    (-114625, -114660, 0, 229320, 114660, 35, -114660, -35, -910, 114660, 0, 0, 910, -114660,
+    114660, -6370, 114660, 114660, -114660, 0, 0, 0, 0, -114660, 0),
+    (35, 0, 0, 0, 0, 0, 35, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0),
+    (-7, 0, 0, 7, 7, 0, -7, 35, 0, 0, 0, 0, 0, -7, 7, 0, 0, 7, 0, 0, 0, 0, 0, 0, 0),
+    (0, 0, 7, 0, 0, 0, 0, 0, 455, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0),
+    (-455, 0, 0, 0, 0, -455, 0, 0, 0, 455, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0),
+    (455, 0, 7, -455, -455, 0, 455, 0, 0, 0, 455, -455, 0, 455, -455, 0, 0, -455, 0, 0, 0, 0, 0, 0,
+    0),
+    (0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 910, 0, 0, 0, 910, 0, 0, 0, 0, 0, 0, 0, 0, 0),
+    (-114653, -114660, 0, 229313, 114653, 0, -114653, -70, -910, 114660, 0, 0, 910, -114653, 114653,
+    -6370, 114660, 114653, -114660, 0, 0, 0, 0, -114660, 0),
+    (114660, 114660, 0, -229327, -114660, 0, 114660, 35, 910, -114660, 0, 0, -910, 115570, -114660,
+    6370, -114660, -114660, 114660, 0, 0, 0, 0, 114660, 0),
+    (-6370, 0, 0, 6370, 0, -6370, 0, 0, 0, 0, 0, 0, 0, 0, 6370, 0, -25480, 0, 19110, 0, 0, 0, 0, 0,
+    0),
+    (-35, 0, 7, 0, 0, 0, -35, 0, 0, 0, 0, 0, 0, 0, 0, 6370, 0, 0, 0, 0, 0, 0, 0, 0, 0),
+    (0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 6370, 0, 0, 0, 0, 0, 0, 0, 0),
+    (0, 0, 0, 0, 0, 19110, -19110, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 19110, 0, 0, 0, 0, 0, 0, 0),
+    (114660, 114660, 0, -229320, -114660, 0, 114660, 0, 0, -114660, 0, 0, 0, 114660, -114660, 0,
+    -133770, -114660, 133770, 0, 0, 0, 0, 114660, 0),
+    (114660, 114660, 0, -229320, -114660, 0, 114660, 0, -19110, -114660, 0, 0, 0, 114660, -114660,
+    19110, -108290, -114660, 114660, 19110, 0, 0, 0, 114660, 0),
+    (57330, 0, 0, 0, 0, 0, 0, -57330, 0, 0, 0, 57330, 0, 0, 0, 0, 0, 0, 0, 0, 57330, 0, 0, 0, 0),
+    (-57365, 0, 0, 57330, 57330, 0, -57365, 0, 0, 0, -57330, 57330, 0, -57330, 57330, 0, 0, 57330,
+    0, 0, 0, 57330, 0, 0, 0),
+    (7, 0, 0, -7, -7, 0, 7, 0, 0, 0, 0, 0, 0, 7, -7, 0, -19110, -7, 19110, 0, 0, 0, 57330, 0, 0),
+    (114660, 114660, 0, -229320, -114660, 0, 114660, 0, 0, -114660, 0, 0, 0, 114660, -114660, 0,
+    -114660, -114660, 114660, 0, 0, 0, 0, 114660, 0),
+    (0, 0, 0, 0, 0, 0, 0, 0, 910, 0, 0, 0, -910, 0, 0, 6370, 0, 0, 0, 0, 0, 0, 0, 0, 0),
+)
+
+
+def test_snf_planted25_keeps_its_transforms_small():
+    """A gcd elimination grew this map's transform entries to 429,697 bits;
+    nearest-quotient remainder steps keep them under 512."""
+    s = snf(_PLANTED25)
+    chain = (1, 1) + (7,) * 3 + (35,) * 3 + (455,) * 3 + (910,) * 3 + (6370,) * 3
+    assert s.factors == chain + (19110,) * 3 + (57330,) * 3 + (114660,) and s.rank == 24
+    _assert_smith(_PLANTED25, s)
+    assert max(abs(x).bit_length() for form in (s.left, s.right) for row in form for x in row) < 512
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_snf_40x40_chain_multiplies_to_the_determinant(seed):
+    """Random 40 x 40 matrices of entries in [-5, 5], each of rank 40, whose
+    invariant factors reach about 143 bits."""
+    rng = random.Random(seed)
+    a = [[rng.randint(-5, 5) for _ in range(40)] for _ in range(40)]
+    s = snf(a)
+    assert s.rank == 40
+    assert all(y % x == 0 for x, y in zip(s.factors, s.factors[1:]))
+    product = 1
+    for f in s.factors:
+        product *= f
+    assert product == abs(det_over_q(a))
+
+
+@pytest.mark.parametrize(
+    "a, factors",
+    [
+        ([[2], [3]], (1,)),  # a row step leaves a remainder, which pivots
+        ([[2, 3]], (1,)),  # a column step leaves one: its column is swapped in
+        ([[2, 0], [0, 3]], (1, 6)),  # the chain is fixed up
+        ([[-3, 0], [0, 6]], (3, 6)),  # a negative pivot is made positive
+        ([[], [], []], ()),  # 3 x 0
+        ([], ()),  # 0 x 0: a matrix with no rows has no columns either
+    ],
+)
+def test_snf_elimination_steps(a, factors):
+    s = snf(a)
+    assert s.factors == factors and s.rank == len(factors)
+    _assert_smith(a, s)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(1, 4).flatmap(
+        lambda n: st.lists(
+            st.lists(st.integers(-(10**6), 10**6), min_size=n, max_size=n), min_size=1, max_size=4
+        )
+    )
+)
+def test_snf_factors_of_large_entries_match_determinantal_divisors(a):
+    s = snf(a)
+    assert list(s.factors) == determinantal_factors(a)
+    _assert_smith(a, s)
+
+
 # ---------------------------------------------------------------------------
 # coefficient tables
 
