@@ -242,9 +242,9 @@ class SmithForm:
 
 
 def snf(matrix: list[list[int]]) -> SmithForm:
-    """Smith normal form of an integer matrix, empty shapes (0 x n, m x 0)
-    included.  Elimination runs on the bare matrix: the transforms are
-    eliminated on first read of ``left`` or ``right``."""
+    """Smith normal form of an integer matrix, m x 0 and 0 x 0 included (a
+    list of no rows has no columns).  Elimination runs on the bare matrix:
+    the transforms are eliminated on first read of ``left`` or ``right``."""
     rows = len(matrix)
     cols = len(matrix[0]) if rows else 0
     for row in matrix:
