@@ -12,7 +12,7 @@ oracle; the engine flags every value that consumes it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import accumulate, combinations, product
 from math import comb, factorial
 
 from .dsl import BundleDatum, FlagBundle, Point, SheafDatum, StratifiedDescent, Tree
@@ -169,49 +169,36 @@ def affine_cell_count(datum: CoweightDatum) -> int:
     """Number of fixed lattices: integer vectors with the same total whose
     dominant rearrangement is bounded by mu in dominance order.
 
-    Enumerates dominant representatives below mu by a partial-sum-bounded
-    recursion (dominance pins every entry into [mu_n, mu_1]) and counts the
-    distinct rearrangements of each.
+    One stack pass over the dominant representatives below mu, built entry
+    by entry: dominance pins every entry into [mu_n, mu_1], bounds each
+    partial sum by mu's, and leaves each entry an interval that the rest
+    can still fill.  A partial shape carries its last entry, length, sum,
+    the length of its last run of equal entries and the product of its
+    runs' factorials; its forced last entry completes it, adding its
+    n! / product distinct rearrangements.
     """
-    mu = datum.mu
-    n = datum.n
-    total = sum(mu)
-    prefix = [0]
-    for a in mu:
-        prefix.append(prefix[-1] + a)
-
-    def perms(shape: list[int]) -> int:
-        out = factorial(n)
-        run = 1
-        for i in range(1, n):
-            if shape[i] == shape[i - 1]:
-                run += 1
-            else:
-                out //= factorial(run)
-                run = 1
-        out //= factorial(run)
-        return out
-
+    mu, n = datum.mu, datum.n
+    if not n:
+        return 1
+    total, low = sum(mu), mu[-1]
+    prefix = [0, *accumulate(mu)]
     count = 0
-    stack: list[tuple[list[int], int]] = [([], 0)]
+    stack = [(mu[0], 0, 0, 0, 1)]
     while stack:
-        shape, partial = stack.pop()
-        k = len(shape)
-        if k == n:  # complete shapes are pushed with partial == total
-            count += perms(shape)
-            continue
-        hi = min(shape[-1] if shape else mu[0], prefix[k + 1] - partial)
+        last, k, partial, run, product = stack.pop()
+        rest = total - partial
         remaining = n - k - 1
         if not remaining:
             # the last entry is forced
-            if mu[-1] <= total - partial <= hi:
-                stack.append((shape + [total - partial], total))
+            if low <= rest <= min(last, prefix[k + 1] - partial):
+                count += factorial(n) // (product * (run + 1) if rest == last else product)
             continue
-        for v in range(hi, mu[-1] - 1, -1):
-            rest = total - partial - v
-            if rest > remaining * v or rest < remaining * mu[-1]:
-                continue
-            stack.append((shape + [v], partial + v))
+        top = min(last, prefix[k + 1] - partial, rest - remaining * low)
+        for v in range(top, max(low, -(-rest // (remaining + 1))) - 1, -1):
+            if v == last:
+                stack.append((v, k + 1, partial + v, run + 1, product * (run + 1)))
+            else:
+                stack.append((v, k + 1, partial + v, 1, product))
     return count
 
 

@@ -13,7 +13,7 @@ import random
 from dataclasses import replace
 from fractions import Fraction
 from itertools import product
-from math import gcd
+from math import factorial, gcd
 
 from simploc.coeff import (
     ZERO_GROUP,
@@ -612,6 +612,60 @@ def affine_schubert_tree_recursive(datum, group: GroupDatum) -> Tree:
         d_vec=(ks[0],),
         oracle_rank=affine_cell_count(datum),
     )
+
+
+# ---------------------------------------------------------------------------
+# the fixed-lattice count the one-pass stack replaced
+
+
+def affine_cell_count_reference(datum) -> int:
+    """Number of fixed lattices: integer vectors with the same total whose
+    dominant rearrangement is bounded by mu in dominance order.
+
+    Enumerates dominant representatives below mu by a partial-sum-bounded
+    recursion (dominance pins every entry into [mu_n, mu_1]) and counts the
+    distinct rearrangements of each.
+    """
+    mu = datum.mu
+    n = datum.n
+    total = sum(mu)
+    prefix = [0]
+    for a in mu:
+        prefix.append(prefix[-1] + a)
+
+    def perms(shape: list[int]) -> int:
+        out = factorial(n)
+        run = 1
+        for i in range(1, n):
+            if shape[i] == shape[i - 1]:
+                run += 1
+            else:
+                out //= factorial(run)
+                run = 1
+        out //= factorial(run)
+        return out
+
+    count = 0
+    stack: list[tuple[list[int], int]] = [([], 0)]
+    while stack:
+        shape, partial = stack.pop()
+        k = len(shape)
+        if k == n:  # complete shapes are pushed with partial == total
+            count += perms(shape)
+            continue
+        hi = min(shape[-1] if shape else mu[0], prefix[k + 1] - partial)
+        remaining = n - k - 1
+        if not remaining:
+            # the last entry is forced
+            if mu[-1] <= total - partial <= hi:
+                stack.append((shape + [total - partial], total))
+            continue
+        for v in range(hi, mu[-1] - 1, -1):
+            rest = total - partial - v
+            if rest > remaining * v or rest < remaining * mu[-1]:
+                continue
+            stack.append((shape + [v], partial + v))
+    return count
 
 
 # ---------------------------------------------------------------------------
