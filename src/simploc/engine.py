@@ -837,17 +837,15 @@ def refute_membership_b(tree: Tree, group: GroupDatum = GroupDatum(0)) -> Option
 
     Evaluates the tree over the unit table; any nonzero negative-degree
     value contradicts formality, which forces vanishing below degree zero.
-    Returns None when no obstruction is found (in particular on class-B
-    trees, where formality computes the shape directly).
+    The window ends at degree -1 and lists its nonzero degrees only, so the
+    obstruction is its highest listed degree.  Returns None when no
+    obstruction is found (in particular on class-B trees, where formality
+    computes the shape directly).
     """
     if class_tag(tree) == "B":
         return None
     window = _explicit_eval(tree, group, builtin_table("unit"), -1)
-    for degree in range(-1, window.lo - 1, -1):
-        value = window.value_at(degree)
-        if not value.is_zero:
-            return NotInB(degree=degree, value=value)
-    return None
+    return NotInB(*window.support[-1]) if window.support else None
 
 
 def unconcentrated(
