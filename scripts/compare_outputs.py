@@ -30,6 +30,12 @@ square with unknown X, ``solve_blowup_les(tree, group, unit, -3, 0,
 collect_witnesses=True)`` under the script's group (the solved window and
 every LES witness matrix), or the error type and message: no command
 prints the witnesses.
+The ``schubert`` mode runs once, not per script: it prints
+``cell_count_finite`` and ``affine_cell_count`` over the grids of
+``scripts/schubert_survey.py`` for n <= 6 (every j-sequence; every dominant
+coweight with entries summing to at most 6, and each shifted down by 4),
+and ``affine_cell_count`` of the deep coweights (300, 150, 0), (3000, 0)
+and (60, 40, 20, 0).
 Prints one line per difference in stdout, stderr or exit code; exits 0
 when there is none.
 The corpus is taken from NEW_ROOT: the shipped scripts, every ``.slc``
@@ -57,6 +63,8 @@ MODES = [(command, fmt) for command in ("run", "check") for fmt in ("text", "rec
 MODES += [("print", "plain"), ("print", "normalize-j"), ("snf", "factors"), ("snf", "transforms")]
 MODES += [("tokens", "lines")]
 MODES += [("degree0", "lets"), ("witness", "lets")]
+# run once per checkout, with no script
+SCHUBERT = ("schubert", "counts")
 
 # run in one process per checkout: reads [[script, command, fmt], ...] on
 # stdin, writes [[stdout, stderr, exit code], ...] on stdout
@@ -66,6 +74,8 @@ from simploc.cli import main
 from simploc.coeff import builtin_table, snf
 from simploc.dsl import Blowup, Disjoint, fold
 from simploc.engine import compute_degree0, refute_membership_b, solve_blowup_les
+from simploc.schubert import CoweightDatum, FiniteSchubertDatum, affine_cell_count, cell_count_finite
+from itertools import product
 from simploc.script import ScriptError, _tokenize_line, parse, print_script
 def parsed_only(script, command, fmt):
     with open(script, encoding="utf-8") as handle:
@@ -122,6 +132,21 @@ def parsed_only(script, command, fmt):
         except ValueError as exc:
             print(f"{degree}: {exc}")
     return 0
+# the grids of scripts/schubert_survey.py for n <= 6, then the deep coweights
+def schubert_counts():
+    for n in range(1, 7):
+        seqs = [[0]]
+        for i in range(1, n + 1):
+            seqs = [s + [v] for s in seqs for v in range(s[-1], i + 1)]
+        for j in sorted(tuple(s) for s in seqs):
+            print(f"finite {n} {j}: {cell_count_finite(FiniteSchubertDatum(n, j[-1], j))}")
+        for mu in product(range(7), repeat=n):
+            if list(mu) == sorted(mu, reverse=True) and sum(mu) <= 6:
+                for shifted in (mu, tuple(a - 4 for a in mu)):
+                    print(f"affine {shifted}: {affine_cell_count(CoweightDatum(n, shifted))}")
+    for mu in ((300, 150, 0), (3000, 0), (60, 40, 20, 0)):
+        print(f"affine {mu}: {affine_cell_count(CoweightDatum(len(mu), mu))}")
+    return 0
 # the determinant by Bareiss's fraction-free elimination
 def det(m):
     m, sign, last = [list(row) for row in m], 1, 1
@@ -149,6 +174,8 @@ for script, command, fmt in json.load(sys.stdin):
         try:
             if command in ("run", "check"):
                 code = main([command, "--format", fmt, script])
+            elif command == "schubert":
+                code = schubert_counts()
             else:
                 code = parsed_only(script, command, fmt)
         except Exception as exc:
@@ -250,8 +277,9 @@ def main(argv: list[str]) -> int:
     with tempfile.TemporaryDirectory() as work:
         scripts = corpus(new, Path(work))
         jobs = [[path, *mode] for path in scripts.values() for mode in MODES]
+        jobs.append(["", *SCHUBERT])
         before, after = outputs(old, jobs), outputs(new, jobs)
-    labels = [(name, *mode) for name in scripts for mode in MODES]
+    labels = [(name, *mode) for name in scripts for mode in MODES] + [("survey grids", *SCHUBERT)]
     differences = 0
     for (name, command, fmt), was, now in zip(labels, before, after):
         for part, a, b in zip(("stdout", "stderr", "exit code"), was, now):
