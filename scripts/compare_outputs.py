@@ -70,12 +70,12 @@ SCHUBERT = ("schubert", "counts")
 # stdin, writes [[stdout, stderr, exit code], ...] on stdout
 RUNNER = """
 import contextlib, io, json, sys, traceback
+from itertools import product
 from simploc.cli import main
 from simploc.coeff import builtin_table, snf
 from simploc.dsl import Blowup, Disjoint, fold
 from simploc.engine import compute_degree0, refute_membership_b, solve_blowup_les
 from simploc.schubert import CoweightDatum, FiniteSchubertDatum, affine_cell_count, cell_count_finite
-from itertools import product
 from simploc.script import ScriptError, _tokenize_line, parse, print_script
 def parsed_only(script, command, fmt):
     with open(script, encoding="utf-8") as handle:

@@ -181,24 +181,24 @@ def affine_cell_count(datum: CoweightDatum) -> int:
     if not n:
         return 1
     total, low = sum(mu), mu[-1]
-    prefix = [0, *accumulate(mu)]
+    prefix = list(accumulate(mu))
     count = 0
     stack = [(mu[0], 0, 0, 0, 1)]
     while stack:
-        last, k, partial, run, product = stack.pop()
+        last, k, partial, run, denom = stack.pop()
         rest = total - partial
         remaining = n - k - 1
         if not remaining:
             # the last entry is forced
-            if low <= rest <= min(last, prefix[k + 1] - partial):
-                count += factorial(n) // (product * (run + 1) if rest == last else product)
+            if low <= rest <= min(last, prefix[k] - partial):
+                count += factorial(n) // (denom * (run + 1) if rest == last else denom)
             continue
-        top = min(last, prefix[k + 1] - partial, rest - remaining * low)
+        top = min(last, prefix[k] - partial, rest - remaining * low)
         for v in range(top, max(low, -(-rest // (remaining + 1))) - 1, -1):
             if v == last:
-                stack.append((v, k + 1, partial + v, run + 1, product * (run + 1)))
+                stack.append((v, k + 1, partial + v, run + 1, denom * (run + 1)))
             else:
-                stack.append((v, k + 1, partial + v, 1, product))
+                stack.append((v, k + 1, partial + v, 1, denom))
     return count
 
 
