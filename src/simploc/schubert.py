@@ -183,7 +183,7 @@ def affine_cell_count(datum: CoweightDatum) -> int:
     total, low = sum(mu), mu[-1]
     prefix = list(accumulate(mu))
     count = 0
-    stack = [(mu[0], 0, 0, 0, 1)]
+    stack = [(mu[0], 0, 0, 0, 1)]  # the empty shape; its first entry is at most mu_1
     while stack:
         last, k, partial, run, denom = stack.pop()
         rest = total - partial

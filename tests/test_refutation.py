@@ -7,9 +7,7 @@ from unittest import mock
 import pytest
 
 from simploc.cli import EXIT_OK, main
-from simploc.coeff import FgAbGroup
-from simploc.engine import DegreeWindow, NotInB, refute_membership_b
-from simploc.script import parse
+from simploc.engine import DegreeWindow
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 FORMATS = ("text", "records")
@@ -43,8 +41,3 @@ def test_classify_reads_no_degree(name, tmp_path, capsys):
         refuted = "not in class B" if fmt == "text" else '"b_refuted": {"degree": -1'
         assert refuted in capsys.readouterr().out
 
-
-def test_obstruction_is_the_highest_nonzero_negative_degree():
-    trees = parse(_chain(20)).trees
-    assert refute_membership_b(trees["x0"]) == NotInB(-1, FgAbGroup(1))
-    assert refute_membership_b(trees["x20"]) == NotInB(-1, FgAbGroup(21))
