@@ -31,11 +31,12 @@ collect_witnesses=True)`` under the script's group (the solved window and
 every LES witness matrix), or the error type and message: no command
 prints the witnesses.
 The ``schubert`` mode runs once, not per script: it prints
-``cell_count_finite`` and ``affine_cell_count`` over the grids of
-``scripts/schubert_survey.py`` for n <= 6 (every j-sequence; every dominant
-coweight with entries summing to at most 6, and each shifted down by 4),
-and ``affine_cell_count`` of the deep coweights (300, 150, 0), (3000, 0)
-and (60, 40, 20, 0).
+``cell_count_finite`` and ``tower_rank``, and ``affine_cell_count`` and
+``demazure_tower_rank``, over the grids of ``scripts/schubert_survey.py``
+for n <= 6 (every j-sequence; every dominant coweight with entries summing
+to at most 6, and each shifted down by 4), and ``affine_cell_count`` and
+``demazure_tower_rank`` of the deep coweights (300, 150, 0), (3000, 0) and
+(60, 40, 20, 0).
 Prints one line per difference in stdout, stderr or exit code; exits 0
 when there is none.
 The corpus is taken from NEW_ROOT: the shipped scripts, every ``.slc``
@@ -75,7 +76,8 @@ from simploc.cli import main
 from simploc.coeff import builtin_table, snf
 from simploc.dsl import Blowup, Disjoint, fold
 from simploc.engine import compute_degree0, refute_membership_b, solve_blowup_les
-from simploc.schubert import CoweightDatum, FiniteSchubertDatum, affine_cell_count, cell_count_finite
+from simploc.schubert import (CoweightDatum, FiniteSchubertDatum, affine_cell_count, cell_count_finite,
+    demazure_tower_rank, tower_rank)
 from simploc.script import ScriptError, _tokenize_line, parse, print_script
 def parsed_only(script, command, fmt):
     with open(script, encoding="utf-8") as handle:
@@ -139,14 +141,17 @@ def schubert_counts():
         for i in range(1, n + 1):
             seqs = [s + [v] for s in seqs for v in range(s[-1], i + 1)]
         for j in sorted(tuple(s) for s in seqs):
-            print(f"finite {n} {j}: {cell_count_finite(FiniteSchubertDatum(n, j[-1], j))}")
+            datum = FiniteSchubertDatum(n, j[-1], j)
+            print(f"finite {n} {j}: {cell_count_finite(datum)}, tower rank {tower_rank(datum)}")
         for mu in product(range(7), repeat=n):
             if list(mu) == sorted(mu, reverse=True) and sum(mu) <= 6:
                 for shifted in (mu, tuple(a - 4 for a in mu)):
-                    print(f"affine {shifted}: {affine_cell_count(CoweightDatum(n, shifted))}")
+                    affine(CoweightDatum(n, shifted))
     for mu in ((300, 150, 0), (3000, 0), (60, 40, 20, 0)):
-        print(f"affine {mu}: {affine_cell_count(CoweightDatum(len(mu), mu))}")
+        affine(CoweightDatum(len(mu), mu))
     return 0
+def affine(datum):
+    print(f"affine {datum.mu}: {affine_cell_count(datum)}, tower rank {demazure_tower_rank(datum)}")
 # the determinant by Bareiss's fraction-free elimination
 def det(m):
     m, sign, last = [list(row) for row in m], 1, 1

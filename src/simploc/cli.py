@@ -31,10 +31,8 @@ from .engine import (
     EngineError,
     FiberTable,
     HypothesisError,
-    InconsistentDataError,
     NoVerdict,
     UnderdeterminedError,
-    UnsupportedError,
     Verdict,
     ZERO_FIBER,
     compute_graded,
@@ -106,16 +104,8 @@ def preset_verdict(
     raise LookupError(f"unknown preset {preset!r} (choose from {PRESET_IDS})")
 
 
-_VERDICT_LABELS = {
-    "equivalence_all_degrees": "EquivalenceAllDegrees",
-    "iso_in_degree": "IsoInDegree",
-    "split_decomposition": "SplitDecomposition",
-    "vanishing": "Vanishing",
-}
-
-
 def _verdict_label(verdict: Verdict) -> str:
-    label = _VERDICT_LABELS[verdict.kind]
+    label = verdict.kind.title().replace("_", "")  # iso_in_degree: IsoInDegree
     if verdict.degree is not None:
         label += f"({verdict.degree})"
     if verdict.kind == "vanishing":
@@ -238,19 +228,12 @@ def run_script(script: Script, base_dir: Path, fmt: str = "text") -> tuple[str, 
 
     try:
         for cmd in script.commands:
-            if isinstance(cmd, ClassifyCmd):
-                _run_classify(out, cmd, trees, script.group)
-            elif isinstance(cmd, ComputeCmd):
-                _run_compute(out, cmd, trees, script.group, user_tables)
-            elif isinstance(cmd, VerdictCmd):
-                _run_verdict(out, cmd, trees, script.group)
-            elif isinstance(cmd, ReportCmd):
-                _run_report(out, cmd, trees, script.group, user_tables)
+            _RUNNERS[type(cmd)](out, cmd, trees, script.group, user_tables)
     except UnderdeterminedError as exc:
         out.text(f"underdetermined: {exc}")
         out.record(command="error", kind="underdetermined", message=str(exc))
         return out.render(), EXIT_UNDERDETERMINED
-    except (HypothesisError, UnsupportedError, InconsistentDataError, LookupError, ValueError) as exc:
+    except (EngineError, LookupError, ValueError) as exc:
         message = str(exc)
     except (OverflowError, MemoryError, RecursionError) as exc:
         # a value past what this machine can hold or build, not a bad script
@@ -264,7 +247,7 @@ def run_script(script: Script, base_dir: Path, fmt: str = "text") -> tuple[str, 
 
 
 def _run_classify(
-    out: _Output, cmd: ClassifyCmd, trees: dict[str, Tree], group: GroupDatum
+    out: _Output, cmd: ClassifyCmd, trees: dict[str, Tree], group: GroupDatum, user_tables: dict
 ) -> None:
     tree = trees[cmd.target]
     try:
@@ -321,7 +304,7 @@ def _run_compute(
 
 
 def _run_verdict(
-    out: _Output, cmd: VerdictCmd, trees: dict[str, Tree], group: GroupDatum
+    out: _Output, cmd: VerdictCmd, trees: dict[str, Tree], group: GroupDatum, user_tables: dict
 ) -> None:
     tree = trees[cmd.target]
     verdict = preset_verdict(cmd.preset, tree, group)
@@ -378,7 +361,7 @@ def _run_report(
     kh_table = user_tables.get(cmd.kh) or builtin_table(cmd.kh)
     hcm_table = user_tables.get(cmd.hcminus) or builtin_table(cmd.hcminus)
     kh_value = compute_graded(tree, group, kh_table)
-    split = positive_split_verdict(cls, cmd.hi) if cmd.hi >= 1 else None
+    split = positive_split_verdict(cls, cmd.hi)
     out.text(
         f"{cmd.target} report [class B; kh={kh_table.name}; hcminus={hcm_table.name}]"
     )
@@ -416,6 +399,11 @@ def _run_report(
             out.text(f"  hypothesis: {h}")
     for p in kh_value.assumed_oracles:
         out.text(f"  assumed oracle at {p}")
+
+
+# each command statement's runner; script._COMMANDS gives each its word
+_RUNNERS = {ClassifyCmd: _run_classify, ComputeCmd: _run_compute,
+            VerdictCmd: _run_verdict, ReportCmd: _run_report}
 
 
 def check_script(script: Script, fmt: str = "text") -> tuple[str, int]:

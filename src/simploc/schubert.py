@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate, combinations, product
-from math import comb, factorial
+from math import comb, factorial, prod
 
 from .dsl import BundleDatum, FlagBundle, Point, SheafDatum, StratifiedDescent, Tree
 from .group_rep import GroupDatum
@@ -78,29 +78,24 @@ def cell_count_finite(datum: FiniteSchubertDatum) -> int:
     return state.get(datum.d, 0)
 
 
-def bott_samelson_tower(datum: FiniteSchubertDatum) -> Tree:
-    """Tower of Grassmannian bundles resolving the Schubert locus.
+def _steps(datum: FiniteSchubertDatum) -> list[tuple[int, int]]:
+    """The Bott-Samelson steps: step i adds the Grassmannian of d_i-planes
+    in a rank (i - j_{i-1}) bundle, as (rank, d_i); zero jumps add none."""
+    j = datum.j_seq
+    return [(i - j[i - 1], j[i] - j[i - 1]) for i in range(1, datum.n + 1) if j[i] > j[i - 1]]
 
-    Step i adds the Grassmannian of d_i-planes in a rank (i - j_{i-1})
-    bundle; zero jumps contribute nothing.
-    """
+
+def bott_samelson_tower(datum: FiniteSchubertDatum) -> Tree:
+    """Tower of Grassmannian bundles resolving the Schubert locus, one
+    bundle per step of ``_steps``."""
     tower: Tree = Point()
-    for i in range(1, datum.n + 1):
-        d_i = datum.j_seq[i] - datum.j_seq[i - 1]
-        if d_i == 0:
-            continue
-        rank = i - datum.j_seq[i - 1]
+    for rank, d_i in _steps(datum):
         tower = FlagBundle(tower, BundleDatum(rank), (d_i,))
     return tower
 
 
 def tower_rank(datum: FiniteSchubertDatum) -> int:
-    out = 1
-    for i in range(1, datum.n + 1):
-        d_i = datum.j_seq[i] - datum.j_seq[i - 1]
-        if d_i:
-            out *= comb(i - datum.j_seq[i - 1], d_i)
-    return out
+    return prod(comb(rank, d_i) for rank, d_i in _steps(datum))
 
 
 def finite_schubert_tree(datum: FiniteSchubertDatum, group: GroupDatum) -> Tree:

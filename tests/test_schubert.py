@@ -1,10 +1,11 @@
 from itertools import product
+from math import prod
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from simploc.dsl import StratifiedDescent, classify, validate
+from simploc.dsl import FlagBundle, StratifiedDescent, classify, validate, walk
 from simploc.engine import compute_degree0, sod_count
 from simploc.group_rep import GroupDatum
 from simploc.schubert import (
@@ -12,6 +13,7 @@ from simploc.schubert import (
     FiniteSchubertDatum,
     affine_cell_count,
     affine_schubert_tree,
+    bott_samelson_tower,
     brute_force_affine_cell_count,
     brute_force_cell_count_finite,
     cell_count_finite,
@@ -202,3 +204,29 @@ def test_affine_tree_matches_oracle_through_engine():
             tree = affine_schubert_tree(datum, TRIV)
             assert validate(tree, TRIV) == []
             assert compute_degree0(tree, TRIV).rank == affine_cell_count(datum)
+
+
+def test_tower_rank_is_the_rank_of_the_built_tower():
+    seqs = [(0,)]
+    checked = 0
+    for n in range(7):
+        for j in seqs:
+            datum = FiniteSchubertDatum(n, j[-1], j)
+            assert tower_rank(datum) == compute_degree0(bott_samelson_tower(datum), TRIV).rank
+            checked += 1
+        seqs = [j + (v,) for j in seqs for v in range(j[-1], n + 2)]
+    assert checked == 625
+
+
+def test_demazure_tower_rank_is_the_product_over_the_built_bundles():
+    checked = 0
+    for n in range(1, 5):
+        for mu in product(range(4, -3, -1), repeat=n):
+            if list(mu) != sorted(mu, reverse=True):
+                continue
+            datum = CoweightDatum(n, mu)
+            nodes = [node for _, node in walk(affine_schubert_tree(datum, TRIV))]
+            ranks = [sod_count(b.bundle.rank, b.d_vec) for b in nodes if isinstance(b, FlagBundle)]
+            assert demazure_tower_rank(datum) == prod(ranks)
+            checked += 1
+    assert checked == 329

@@ -20,6 +20,7 @@ from simploc.dsl import classify, example_library
 from simploc.engine import FiberTable, NoVerdict
 from simploc.group_rep import GroupDatum
 from simploc.script import (
+    _COMMANDS,
     ClassifyCmd,
     ComputeCmd,
     ScriptError,
@@ -240,6 +241,10 @@ def test_run_report_command(tmp_path):
     assert "1 | Q^4 | Q^3 | Q" in output
     assert "2 | 0 | 0 | 0" in output
     assert "3 | Q^4 | Q^3 | Q" in output
+
+
+def test_every_command_statement_has_a_runner():
+    assert set(cli._RUNNERS) == {cls for cls, _ in _COMMANDS.values()}
 
 
 def test_check_command():
