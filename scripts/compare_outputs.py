@@ -146,11 +146,11 @@ def schubert_counts():
         for mu in product(range(7), repeat=n):
             if list(mu) == sorted(mu, reverse=True) and sum(mu) <= 6:
                 for shifted in (mu, tuple(a - 4 for a in mu)):
-                    affine(CoweightDatum(n, shifted))
+                    affine_counts(CoweightDatum(n, shifted))
     for mu in ((300, 150, 0), (3000, 0), (60, 40, 20, 0)):
-        affine(CoweightDatum(len(mu), mu))
+        affine_counts(CoweightDatum(len(mu), mu))
     return 0
-def affine(datum):
+def affine_counts(datum):
     print(f"affine {datum.mu}: {affine_cell_count(datum)}, tower rank {demazure_tower_rank(datum)}")
 # the determinant by Bareiss's fraction-free elimination
 def det(m):
