@@ -45,11 +45,15 @@ makes at seed 7 (``bench/`` is imported, never written), and one window
 script per built-in table and window: ``compute`` of a class-B tree,
 ``report`` over the table, then ``compute`` of a class-C tree, on windows
 that straddle 0, lie wholly below or above it, are one degree wide, sit at
-+-10^20 or span 6,001 degrees.  Each script but the window scripts
-also has a broken copy, seeded by its name: cut at a random character, or
-with one character of a random line replaced by a blank, punctuation, a
-quote, ``#``, ``;``, a letter, a digit or ``²``.  So the ``print`` and
-``tokens`` modes compare parse errors too, not only successful parses.
++-10^20 or span 6,001 degrees.  Two deep Demazure towers,
+``affine(2, mu=(300, 0))`` and ``affine(3, mu=(30, 15, 0))``, are each
+classified, computed and given a verdict in one script, so a result read
+twice from one tree is compared too.  Each script but the window and
+tower scripts also has a broken copy, seeded by its name: cut at a random
+character, or with one character of a random line replaced by a blank,
+punctuation, a quote, ``#``, ``;``, a letter, a digit or ``²``.  So the
+``print`` and ``tokens`` modes compare parse errors too, not only
+successful parses.
 """
 
 import json
@@ -208,6 +212,15 @@ def _window_script(table: str, lo: int, hi: int) -> str:
     return "\n".join(lines) + "\n"
 
 
+TOWERS = {"affine2_300": "2, mu=(300, 0)", "affine3_30_15": "3, mu=(30, 15, 0)"}
+
+
+def _tower_script(args: str) -> str:
+    lines = ["group trivial", f"let a = affine({args})", "classify a"]
+    lines += ["compute a table=bott degrees=-2..2", "verdict a preset=parshin_Fq"]
+    return "\n".join(lines) + "\n"
+
+
 def generated(root: Path, work: Path, seed: int) -> dict[str, str]:
     """Each workload's generated scripts at ``seed`` but the shipped ones,
     written under ``work`` with their side files: each script's name for
@@ -247,6 +260,11 @@ def corpus(root: Path, work: Path) -> dict[str, str]:
             path = work / "windows" / f"{table}_{lo}_{hi}.slc"
             path.write_text(_window_script(table, lo, hi))
             scripts[f"windows/{path.name}"] = str(path)
+    (work / "towers").mkdir()
+    for name, args in TOWERS.items():
+        path = work / "towers" / f"{name}.slc"
+        path.write_text(_tower_script(args))
+        scripts[f"towers/{path.name}"] = str(path)
     return scripts
 
 

@@ -182,7 +182,10 @@ class _Output:
             raise error
 
     def render(self) -> str:
-        return "\n".join(self.lines) + ("\n" if self.lines else "")
+        self.lines.append("")  # the closing newline, inside the one join
+        output = "\n".join(self.lines)
+        self.lines.pop()
+        return output
 
 
 def _group_fields(g: FgAbGroup) -> dict:

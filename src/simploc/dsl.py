@@ -433,10 +433,16 @@ def classify(tree: Tree) -> MembershipClass:
     assumed_oracles lists the descent nodes with a declared rank in preorder.
     The class is cached on each node (``validate`` fills the cache too), and
     the paths are listed from the root, entering only subtrees holding one.
+    The result is cached on the root like its class, so the paths of a root
+    are listed once.
     """
-    tag, prime, _ = _class_of(tree)
-    paths = _listed(tree, lambda n: n._membership.oracles, lambda n: range(_oracles_at(n)))
-    return MembershipClass(tag, prime, tuple(path or _ROOT for path, _ in paths))
+    cls = tree.__dict__.get("_membership_class")
+    if cls is None:
+        tag, prime, _ = _class_of(tree)
+        paths = _listed(tree, lambda n: n._membership.oracles, lambda n: range(_oracles_at(n)))
+        cls = MembershipClass(tag, prime, tuple(path or _ROOT for path, _ in paths))
+        tree.__dict__["_membership_class"] = cls
+    return cls
 
 
 # ---------------------------------------------------------------------------

@@ -219,13 +219,18 @@ def _computable_tag(tree: Tree, group: GroupDatum) -> str:
 def compute_degree0(tree: Tree, group: GroupDatum) -> Degree0Module:
     """The degree-zero module, free over R(G).
 
-    Class-B trees are evaluated by one fold over the closure rules.  Class-C
-    trees are accepted only with trivial group and comparison maps on every
-    non-split square; the result then carries rank information only.
+    Class-B trees are evaluated by one fold over the closure rules, whose
+    rank is cached on the tree like its class; a fold that raises caches
+    nothing.  Class-C trees are accepted only with trivial group and
+    comparison maps on every non-split square; the result then carries rank
+    information only.
     """
     if _computable_tag(tree, group) == "B":
+        rank = tree.__dict__.get("_degree0_rank")
+        if rank is None:
+            rank = tree.__dict__["_degree0_rank"] = fold(tree, partial(_rank_of, tree))
         oracles = children_first(classify(tree).assumed_oracles)
-        return Degree0Module(fold(tree, partial(_rank_of, tree)), tree, group, oracles)
+        return Degree0Module(rank, tree, group, oracles)
     # class C: only the rank is meaningful, via the degreewise solver; over
     # the unit table no value is nonzero above degree 0, so a square's X_0 is
     # ker(phi_0), free: its torsion, coker(phi_0), lands in degree -1
