@@ -11,8 +11,9 @@ A C tag means "B not established by this tree", not "provably not in B".
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Union
+from typing import Callable, NamedTuple, Optional, Union
 
 from .group_rep import GroupDatum
 
@@ -424,6 +425,13 @@ def class_tag(tree: Tree) -> str:
     return _class_of(tree).tag
 
 
+# the root whose class ``classify`` keeps, and drops when it classifies
+# another root: the commands on one target list its paths once, while
+# classifying every root of a shared let chain keeps one root's paths, not
+# each root's.  A weak reference, so a tree's class goes with the tree.
+_kept: Callable[[], Optional[Tree]] = lambda: None
+
+
 def classify(tree: Tree) -> MembershipClass:
     """Syntactic membership class of a validated tree.
 
@@ -433,15 +441,19 @@ def classify(tree: Tree) -> MembershipClass:
     assumed_oracles lists the descent nodes with a declared rank in preorder.
     The class is cached on each node (``validate`` fills the cache too), and
     the paths are listed from the root, entering only subtrees holding one.
-    The result is cached on the root like its class, so the paths of a root
-    are listed once.
+    The result is cached on the root, one root at a time (see ``_kept``).
     """
+    global _kept
     cls = tree.__dict__.get("_membership_class")
     if cls is None:
         tag, prime, _ = _class_of(tree)
         paths = _listed(tree, lambda n: n._membership.oracles, lambda n: range(_oracles_at(n)))
         cls = MembershipClass(tag, prime, tuple(path or _ROOT for path, _ in paths))
+        kept = _kept()
+        if kept is not None:
+            del kept.__dict__["_membership_class"]
         tree.__dict__["_membership_class"] = cls
+        _kept = weakref.ref(tree)
     return cls
 
 

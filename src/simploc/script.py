@@ -88,15 +88,12 @@ class Token(NamedTuple):
     col: int
 
 
-# Optional blanks, then one token's text (group 1): a name, one of ``(),=``,
-# an integer, a string with its quotes, ``..``, a comment running to the end
-# of the line, or one other character.  The common texts are tried first;
-# each alternative but the last starts on its own set of characters, so the
-# order picks the same text.  A name's pattern also starts at a character
-# that is numeric but not a decimal digit (``²``, ``½``), which _kind
-# rejects.  Trailing blanks match nothing, so the texts tile the line up to
-# them.
-_TEXT = re.compile(r'[ \t]*([^\W\d]\w*|[(),=]|-?\d+|"[^"]*"|\.\.|#.*|[^ \t])', re.DOTALL)
+# Optional blanks, then one token's text (group 1): a string with its quotes,
+# an integer, a name, ``..``, a comment running to the end of the line, or
+# one other character.  A name's pattern also starts at a character that is
+# numeric but not a decimal digit (``²``, ``½``), which _kind rejects.
+# Trailing blanks match nothing, so the texts tile the line up to them.
+_TEXT = re.compile(r'[ \t]*("[^"]*"|-?\d+|[^\W\d]\w*|\.\.|#.*|[^ \t])', re.DOTALL)
 
 # the kind of each token of fixed text; the empty text is the END that
 # closes each line's list of texts

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 import random
-import re
 from dataclasses import replace
 from fractions import Fraction
 from itertools import product
@@ -521,11 +520,6 @@ def _les_by_path(square: Blowup, table: CoefficientTable, lo: int, hi: int, path
 # ---------------------------------------------------------------------------
 # script tokenizer: the character-by-character scanner the one-pattern
 # tokenizer replaced
-
-
-# the token pattern before its alternatives were reordered to try names and
-# single punctuation first: the same group, the same texts at the same columns
-TEXT_REFERENCE = re.compile(r'[ \t]*("[^"]*"|-?\d+|[^\W\d]\w*|\.\.|#.*|[^ \t])', re.DOTALL)
 
 
 def tokenize_line_reference(text: str, line: int) -> list[Token]:

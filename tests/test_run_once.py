@@ -1,12 +1,15 @@
 """The run path does each piece of work once.
 
 ``run_script`` writes its lines and one joined copy of them, with the
-closing newline inside the join; ``classify`` lists a root's oracle paths
-once and caches the result on the root; the class-B degree-0 rank is
+closing newline inside the join; ``classify`` keeps the class of the root
+it classified last, so the commands on one target list its oracle paths
+once, and classifying many roots keeps one root's paths; the class-B
+degree-0 rank is
 folded once per tree and cached on it, and a fold that raises caches
 nothing, so every call raises the same message.
 """
 
+import sys
 import tracemalloc
 from functools import partial
 from pathlib import Path
@@ -20,21 +23,7 @@ from simploc.engine import InconsistentDataError, UnderdeterminedError, compute_
 from simploc.group_rep import GroupDatum
 from simploc.script import ScriptError, parse
 
-ROOT = Path(__file__).resolve().parent.parent
 FORMATS = ("text", "records")
-SCRIPTS = sorted(ROOT.glob("scripts/*.slc")) + sorted((ROOT / "tests" / "golden").rglob("*.slc"))
-
-
-def _parses(path: Path) -> bool:
-    try:
-        parse(path.read_text())
-    except (ScriptError, ValueError):
-        return False
-    return True
-
-
-# a script that fails to parse never reaches run_script
-RUNNABLE = [path for path in SCRIPTS if _parses(path)]
 
 
 def _run_with_lines(script, base_dir: Path, fmt: str):
@@ -43,13 +32,13 @@ def _run_with_lines(script, base_dir: Path, fmt: str):
     real = cli._Output.render
 
     def render(out):
-        rendered.append(list(out.lines))
+        rendered.append(out)
         return real(out)
 
     with mock.patch.object(cli._Output, "render", render):
         output, code = run_script(script, base_dir, fmt)
-    (lines,) = rendered
-    return output, code, lines
+    (out,) = rendered
+    return output, code, out.lines
 
 
 def _assert_joined(output: str, lines: list[str]) -> None:
@@ -57,12 +46,14 @@ def _assert_joined(output: str, lines: list[str]) -> None:
     assert output == "".join(f"{line}\n" for line in lines)
 
 
-@pytest.mark.parametrize("path", RUNNABLE, ids=lambda p: str(p.relative_to(ROOT)))
-def test_output_is_the_lines_joined_with_a_closing_newline(path):
-    script = parse(path.read_text())
-    for fmt in FORMATS:
-        output, _, lines = _run_with_lines(script, path.parent, fmt)
-        _assert_joined(output, lines)
+@pytest.mark.parametrize("lines", [[], ["a"], ["a", "", "  b c", "{}"]])
+def test_render_joins_the_lines_with_a_closing_newline_and_keeps_them(lines):
+    out = cli._Output("text")
+    for line in lines:
+        out.text(line)
+    held = out.lines
+    _assert_joined(out.render(), lines)
+    assert out.lines is held and out.lines == lines
 
 
 def test_a_table_that_fails_mid_window_is_joined_up_to_its_error(tmp_path):
@@ -82,19 +73,19 @@ def test_an_empty_output_is_the_empty_string(tmp_path):
 
 
 def test_a_wide_records_window_holds_its_lines_and_one_joined_copy(tmp_path):
-    """10^5 records of about 210 bytes: the lines cost their text plus about
-    57 bytes each (object and list slot), and the output one more copy of
-    the text, about 2.3 times the output.  A second joined copy would make
-    it about 3.3 times."""
+    """10^5 records of about 210 bytes.  Past its lines, a run's peak is the
+    joined output and little else: 1.0 times the output where a second joined
+    copy made it 2.0 times."""
     script = parse("group trivial\nlet w = cone_of_P1\ncompute w table=bott degrees=0..99999\n")
     tracemalloc.start()
     try:
-        output, code = run_script(script, tmp_path, "records")
+        output, code, lines = _run_with_lines(script, tmp_path, "records")
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert code == EXIT_OK and output.count("\n") == 10**5
-    assert peak <= 2.5 * len(output)
+    assert code == EXIT_OK and len(lines) == 10**5
+    held = sys.getsizeof(lines) + sum(map(sys.getsizeof, lines))
+    assert peak - held <= 1.2 * len(output)
 
 
 def test_a_run_lists_the_oracle_paths_once_and_folds_the_rank_once(tmp_path):
@@ -124,6 +115,29 @@ def test_a_run_lists_the_oracle_paths_once_and_folds_the_rank_once(tmp_path):
     tree = script.trees["a"]
     assert len(listings) == 1 and len(listings[0]) == len(dsl.classify(tree).assumed_oracles) > 0
     assert rank_folds == [tree]
+
+
+def _descent_chain(depth: int) -> str:
+    lines = ["group trivial", "let a0 = point"]
+    lines += [
+        f"let a{i} = descent(flagbundle(a{i - 1}, rank=2, d=(1)), rank=1, pres=(2, 2), d=(1), oracle=2)"
+        for i in range(1, depth + 1)
+    ]
+    return "\n".join(lines) + "\n"
+
+
+def test_check_keeps_the_class_of_one_root_of_a_shared_chain():
+    script = parse(_descent_chain(30))
+    output, code = cli.check_script(script, "records")
+    assert code == EXIT_OK and output.count("\n") == 31
+    def kept():
+        return [name for name, tree in script.trees.items() if "_membership_class" in tree.__dict__]
+
+    assert kept() == ["a30"]
+    # a dropped class is listed again on its next classify
+    a29 = dsl.classify(script.trees["a29"])
+    assert len(a29.assumed_oracles) == 29 and kept() == ["a29"]
+    assert dsl.classify(script.trees["a29"]) is a29
 
 
 @pytest.mark.parametrize(
