@@ -48,8 +48,13 @@ that straddle 0, lie wholly below or above it, are one degree wide, sit at
 +-10^20 or span 6,001 degrees.  Two deep Demazure towers,
 ``affine(2, mu=(300, 0))`` and ``affine(3, mu=(30, 15, 0))``, are each
 classified, computed and given a verdict in one script, so a result read
-twice from one tree is compared too.  Each script but the window and
-tower scripts also has a broken copy, seeded by its name: cut at a random
+twice from one tree is compared too.  Two class-C scripts follow: a
+40-level ``let`` chain of non-split squares, each name classified and the
+top computed over ``unit``, so the refutation of every root of a shared
+chain is compared; and a non-split square whose corners share two nested
+descents with oracles, whose window lists its oracle paths children first,
+not in preorder.  Each script but the window, tower and class-C scripts
+also has a broken copy, seeded by its name: cut at a random
 character, or with one character of a random line replaced by a blank,
 punctuation, a quote, ``#``, ``;``, a letter, a digit or ``²``.  So the
 ``print`` and ``tokens`` modes compare parse errors too, not only
@@ -221,6 +226,29 @@ def _tower_script(args: str) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _square_chain_script(depth: int) -> str:
+    lines = ["group trivial", "let x0 = node"]
+    lines += [
+        f"let x{k} = blowup(unknown=X, split=none, Y=x{k - 1}, Z=point, "
+        "E=disjoint(point, point), maps=[0: ((1, 0, 0), (0, 0, 0))])"
+        for k in range(1, depth + 1)
+    ]
+    lines += [f"classify x{k}" for k in range(depth + 1)]
+    lines += [f"compute x{depth} table=unit degrees=-2..0"]
+    return "\n".join(lines) + "\n"
+
+
+SHARED_DESCENT_SQUARE = """group trivial
+let d1 = descent(flagbundle(point, rank=2, d=(1)), rank=1, pres=(2, 2), d=(1), oracle=2)
+let d2 = descent(flagbundle(d1, rank=2, d=(1)), rank=1, pres=(2, 2), d=(1), oracle=2)
+let x = blowup(unknown=X, split=none, Y=disjoint(d2, d1), Z=d1, E=disjoint(point, point), maps=[0: ((1, 0, 0, 0, 1, 0), (0, 1, 0, 0, 0, 2))])
+classify x
+compute x table=unit degrees=-1..0
+verdict x preset=cyclotomic_Fp
+"""
+CLASS_C = {"square_chain40": _square_chain_script(40), "shared_descent_square": SHARED_DESCENT_SQUARE}
+
+
 def generated(root: Path, work: Path, seed: int) -> dict[str, str]:
     """Each workload's generated scripts at ``seed`` but the shipped ones,
     written under ``work`` with their side files: each script's name for
@@ -265,6 +293,11 @@ def corpus(root: Path, work: Path) -> dict[str, str]:
         path = work / "towers" / f"{name}.slc"
         path.write_text(_tower_script(args))
         scripts[f"towers/{path.name}"] = str(path)
+    (work / "class_c").mkdir()
+    for name, text in CLASS_C.items():
+        path = work / "class_c" / f"{name}.slc"
+        path.write_text(text)
+        scripts[f"class_c/{path.name}"] = str(path)
     return scripts
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, NamedTuple, Optional, Union
 
 from .group_rep import GroupDatum
@@ -370,6 +371,11 @@ class MembershipClass:
     tag: str
     prime: Optional[int] = None
     assumed_oracles: tuple[str, ...] = ()
+
+    @cached_property
+    def oracles_children_first(self) -> tuple[str, ...]:
+        """``assumed_oracles`` in the order a fold reads them, once per class."""
+        return children_first(self.assumed_oracles)
 
     def describe(self) -> str:
         if self.tag == "C_p":

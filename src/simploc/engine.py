@@ -37,7 +37,6 @@ from .dsl import (
     Point,
     StratifiedDescent,
     Tree,
-    children_first,
     class_tag,
     classify,
     first_path,
@@ -229,8 +228,7 @@ def compute_degree0(tree: Tree, group: GroupDatum) -> Degree0Module:
         rank = tree.__dict__.get("_degree0_rank")
         if rank is None:
             rank = tree.__dict__["_degree0_rank"] = fold(tree, partial(_rank_of, tree))
-        oracles = children_first(classify(tree).assumed_oracles)
-        return Degree0Module(rank, tree, group, oracles)
+        return Degree0Module(rank, tree, group, classify(tree).oracles_children_first)
     # class C: only the rank is meaningful, via the degreewise solver; over
     # the unit table no value is nonzero above degree 0, so a square's X_0 is
     # ker(phi_0), free: its torsion, coker(phi_0), lands in degree -1
@@ -293,16 +291,13 @@ class DegreeWindow:
     if none), degrees below it are zero.  ``support`` holds sorted (degree,
     value) pairs of [lo, hi] and every degree it does not list is zero: the
     solver lists the nonzero degrees only, so a window costs its support,
-    not its width.  The dense pairs, ``values``, are built on first read."""
+    not its width; ``value_at`` and ``rows`` read it, and no copy of it is
+    kept.  The dense pairs, ``values``, are built on first read."""
 
     support: tuple[tuple[int, FgAbGroup], ...]
     lo: int
     hi: int
     assumed_oracles: tuple[str, ...] = ()
-
-    @cached_property
-    def _by_degree(self) -> dict[int, FgAbGroup]:
-        return dict(self.support)
 
     @cached_property
     def values(self) -> tuple[tuple[int, FgAbGroup], ...]:
@@ -320,7 +315,7 @@ class DegreeWindow:
             raise UnderdeterminedError(
                 f"degree {degree} lies above the solved window [{self.lo}, {self.hi}]"
             )
-        return self._by_degree.get(degree, ZERO_GROUP)
+        return self.rows(degree, degree)[0]
 
     def rows(self, lo: int, hi: int, through=None) -> list:
         """``[through(value_at(d)) for d in range(lo, hi + 1)]`` from the
@@ -561,22 +556,6 @@ def _class_c_values(
     return values
 
 
-def _postorder(tree: Tree) -> list[tuple[Tree, list[Tree], bool]]:
-    """The distinct nodes in post-order with their children and whether they
-    are class B; cached on the tree like its class, for the next evaluation."""
-    nodes = tree.__dict__.get("_postorder")
-    if nodes is None:
-        nodes = []
-
-        def listed(node: Tree, kids: list[Tree]) -> Tree:
-            nodes.append((node, kids, class_tag(node) == "B"))
-            return node
-
-        fold(tree, listed)
-        tree.__dict__["_postorder"] = nodes
-    return nodes
-
-
 def _explicit_eval(
     tree: Tree,
     group: GroupDatum,
@@ -590,15 +569,18 @@ def _explicit_eval(
     group and a bounded-below table, checked in that order.
 
     Three passes over the distinct nodes, none recursive.  One fold lists
-    them in post-order with their children.  Backwards, each node gets the
-    largest top degree its class-C parents read it to (a parent's top, plus
-    one under a non-split square).  Forwards, each node is solved once into
-    a finitely supported map of its nonzero degrees up to its top: class B
-    from its rank and the table's rows, class C from its children's maps.
-    Nothing under a node that fails before reading its children is read, so
-    on a tree the first failure is the one a depth-first evaluation meets.
-    The root's map becomes its window, with oracle paths; no degree is
-    densified.  ``witnesses`` collects a root square's witnesses.
+    them in post-order with their children and class flags, in a list that
+    goes with the call: an evaluation leaves on the tree only each square's
+    Smith forms.  Backwards, each node gets the largest top degree its
+    class-C parents read it to (a parent's top, plus one under a non-split
+    square).  Forwards, each node is solved once into a finitely supported
+    map of its nonzero degrees up to its top: class B from its rank and the
+    table's rows, class C from its children's maps.  Nothing under a node
+    that fails before reading its children is read, so on a tree the first
+    failure is the one a depth-first evaluation meets.  The root's map
+    becomes its window, with the kept class's oracle paths children first;
+    no degree is densified.  ``witnesses`` collects a root square's
+    witnesses.
     """
     _computable_tag(tree, group)
     if not group.is_trivial:
@@ -611,7 +593,13 @@ def _explicit_eval(
             f"table {table.name!r} is unbounded below; degreewise solving needs "
             "bounded-below coefficients"
         )
-    nodes = _postorder(tree)
+    nodes = []
+
+    def listed(node: Tree, kids: list[Tree]) -> Tree:
+        nodes.append((node, kids, class_tag(node) == "B"))
+        return node
+
+    fold(tree, listed)
     # the top degree each node is read to: the largest its parents ask for
     tops = {id(tree): hi}
     for node, kids, class_b in reversed(nodes):
@@ -642,7 +630,7 @@ def _explicit_eval(
         # the one place a node's map keeps its nonzero degrees only
         values[id(node)] = {d: g for d, g in value.items() if not g.is_zero}
     root = values[id(tree)]
-    oracles = children_first(classify(tree).assumed_oracles)
+    oracles = classify(tree).oracles_children_first
     return DegreeWindow(tuple(sorted(root.items())), min(root, default=hi), hi, oracles)
 
 
