@@ -48,12 +48,17 @@ that straddle 0, lie wholly below or above it, are one degree wide, sit at
 +-10^20 or span 6,001 degrees.  Two deep Demazure towers,
 ``affine(2, mu=(300, 0))`` and ``affine(3, mu=(30, 15, 0))``, are each
 classified, computed and given a verdict in one script, so a result read
-twice from one tree is compared too.  Two class-C scripts follow: a
+twice from one tree is compared too.  Three class-C scripts follow: a
 40-level ``let`` chain of non-split squares, each name classified and the
 top computed over ``unit``, so the refutation of every root of a shared
 chain is compared; and a non-split square whose corners share two nested
 descents with oracles, whose window lists its oracle paths children first,
-not in preorder.  Each script but the window, tower and class-C scripts
+not in preorder; and a shared chain over a user table with rows in degrees
+-1, 0 and 1 (``rows.tbl``, written beside it): ``compute`` of a middle
+root over that table, ``classify`` of every name, ``compute`` of the top
+over ``unit`` up to degree 2 and of the middle root up to degree -2, and a
+``verdict``, so one tree is evaluated over two tables to several tops.
+Each script but the window, tower and class-C scripts
 also has a broken copy, seeded by its name: cut at a random
 character, or with one character of a random line replaced by a blank,
 punctuation, a quote, ``#``, ``;``, a letter, a digit or ``²``.  So the
@@ -246,7 +251,35 @@ classify x
 compute x table=unit degrees=-1..0
 verdict x preset=cyclotomic_Fp
 """
-CLASS_C = {"square_chain40": _square_chain_script(40), "shared_descent_square": SHARED_DESCENT_SQUARE}
+# a middle root m over a user table, then every name over unit, so stored
+# windows are served, extended, replaced and pruned; c uses b as both cover
+# and center, and b and c are read again above m
+MIXED_EVALUATIONS = """group trivial
+table t = "rows.tbl"
+let b = blowup(unknown=X, split=none, Y=point, Z=point, E=point, maps=[-1: ((1, 0)), 0: ((1, 0)), 1: ((1, 0))])
+let c = blowup(unknown=X, split=none, Y=b, Z=b, E=point, maps=[-1: ((1, 0)), 0: ((1, 0)), 1: ((1, 0))])
+let m = blowup(unknown=X, split=none, Y=c, Z=b, E=disjoint(point, point), maps=[-1: ((1, 1), (0, 0)), 0: ((1, 0), (0, 0)), 1: ((0, 0), (0, 0))])
+let u1 = blowup(unknown=X, split=none, Y=m, Z=c, E=disjoint(point, point), maps=[0: ((1, 0), (0, 0))])
+let u2 = blowup(unknown=X, split=none, Y=u1, Z=point, E=disjoint(point, point), maps=[0: ((1, 0), (0, 0))])
+let u3 = blowup(unknown=X, split=none, Y=u2, Z=m, E=disjoint(point, point), maps=[0: ((1, 1), (0, 0))])
+compute m table=t degrees=-4..1
+classify b
+classify c
+classify m
+classify u1
+classify u2
+classify u3
+compute u3 table=unit degrees=-5..2
+compute m table=unit degrees=-4..-2
+verdict u3 preset=cyclotomic_Fp
+"""
+CLASS_C = {
+    "square_chain40": _square_chain_script(40),
+    "shared_descent_square": SHARED_DESCENT_SQUARE,
+    "mixed_evaluations": MIXED_EVALUATIONS,
+}
+# side files of the class-C scripts, written beside them
+CLASS_C_FILES = {"rows.tbl": "-1 1\n0 1\n1 1\n"}
 
 
 def generated(root: Path, work: Path, seed: int) -> dict[str, str]:
@@ -294,6 +327,8 @@ def corpus(root: Path, work: Path) -> dict[str, str]:
         path.write_text(_tower_script(args))
         scripts[f"towers/{path.name}"] = str(path)
     (work / "class_c").mkdir()
+    for name, text in CLASS_C_FILES.items():
+        (work / "class_c" / name).write_text(text)
     for name, text in CLASS_C.items():
         path = work / "class_c" / f"{name}.slc"
         path.write_text(text)

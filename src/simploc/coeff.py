@@ -244,13 +244,15 @@ class SmithForm:
 def snf(matrix: list[list[int]]) -> SmithForm:
     """Smith normal form of an integer matrix, m x 0 and 0 x 0 included (a
     list of no rows has no columns).  Elimination runs on the bare matrix:
-    the transforms are eliminated on first read of ``left`` or ``right``."""
+    the transforms are eliminated on first read of ``left`` or ``right``.
+    A tuple of int tuples (the parser's) is kept, other rows copied."""
     rows = len(matrix)
     cols = len(matrix[0]) if rows else 0
     for row in matrix:
         if len(row) != cols:
             raise ValueError("ragged matrix")
-    source = tuple(tuple(int(x) for x in row) for row in matrix)
+    exact = type(matrix) is tuple and all(type(r) is tuple and {*map(type, r)} <= {int} for r in matrix)
+    source = matrix if exact else tuple(tuple(int(x) for x in row) for row in matrix)
     a, rank = _eliminate(source, augmented=False)
     return SmithForm(tuple(a[i][i] for i in range(rank)), rank, rows, cols, source)
 

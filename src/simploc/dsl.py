@@ -149,11 +149,13 @@ def children(tree: Tree) -> tuple[Tree, ...]:
     raise TypeError(f"not a construction tree: {tree!r}")
 
 
-def fold(tree: Tree, visit):
+def fold(tree: Tree, visit, leaf=None):
     """Post-order fold: ``visit(node, child_values)`` runs once per distinct
     node object (by ``id()``), after its children, and the root's value is
     returned.  A subtree shared through ``let`` or ``cone`` is evaluated once,
     so values hold no paths: paths are listed from the root by ``_listed``.
+    A node for which ``leaf(node)`` is true is visited with no children and
+    nothing below it is entered through it; None makes no node a leaf.
     The explicit stack bounds depth by memory, not the recursion limit.
     """
     values: dict[int, object] = {}
@@ -167,7 +169,7 @@ def fold(tree: Tree, visit):
         elif id(node) in values:
             continue
         else:
-            kids = children(node)
+            kids = () if leaf is not None and leaf(node) else children(node)
             if kids:
                 stack.append((node, kids))
                 stack.extend(reversed(kids))

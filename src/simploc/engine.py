@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cache, cached_property, partial
-from math import comb
+from math import comb, inf
 from typing import Optional, Union
 
 from .coeff import (
@@ -446,12 +446,13 @@ def _les_values(
     corners: dict[str, dict[int, FgAbGroup]],
     top: int,
     witnesses: Optional[list[LesWitness]],
+    lo: float,
 ) -> dict[int, FgAbGroup]:
-    """A non-split square's base corner up to ``top`` from its corners' maps
-    of nonzero degrees, solved only where a corner is nonzero in degree i or
-    i + 1 (elsewhere X_i is 0); each phi_i is built once.  Each degree's map
-    is factored once per square, kept on the node for every later evaluation
-    of the tree."""
+    """A non-split square's base corner in the degrees (``lo``, ``top``]
+    from its corners' maps of nonzero degrees, solved only where a corner is
+    nonzero in degree i or i + 1 (elsewhere X_i is 0); each phi_i is built
+    once.  Each degree's map is factored once per square, kept on the node
+    for every later evaluation of the tree."""
     live = [d for c in corners.values() for d in c if d <= top + 1]
     rational_seen = {g.rational for c in corners.values() for d, g in c.items() if d <= top + 1}
     if len(rational_seen) > 1:
@@ -481,7 +482,7 @@ def _les_values(
     # over every degree: the gaps skipped read no map; a degree's phi is
     # the phi above of the next degree down, when that is solved next
     below = here = None
-    for degree in sorted({e for d in live for e in (d, d - 1) if e <= top}, reverse=True):
+    for degree in sorted({e for d in live for e in (d, d - 1) if lo < e <= top}, reverse=True):
         above = here if below == degree else phi(degree + 1)
         here, below = phi(degree), degree - 1
         # X_i = coker(phi_{i+1}) + Z^ker(phi_i); a rational group drops the torsion
@@ -533,11 +534,12 @@ def _class_c_values(
     kids: list[dict[int, FgAbGroup]],
     top: int,
     witnesses: Optional[list[LesWitness]],
+    lo: float,
 ) -> dict[int, FgAbGroup]:
-    """A class-C node's values up to ``top`` from its children's maps."""
+    """A class-C node's values in the degrees (``lo``, ``top``] from its children's maps."""
     if isinstance(node, Blowup) and node.split is None:
-        return _les_values(node, dict(zip(node.known_labels, kids)), top, witnesses)
-    degrees = sorted({d for kid in kids for d in kid if d <= top})
+        return _les_values(node, dict(zip(node.known_labels, kids)), top, witnesses, lo)
+    degrees = sorted({d for kid in kids for d in kid if lo < d <= top})
     if isinstance(node, Disjoint):
         return {d: direct_sum(*(kid.get(d, ZERO_GROUP) for kid in kids)) for d in degrees}
     if isinstance(node, FlagBundle):
@@ -566,21 +568,26 @@ def _explicit_eval(
     """Degreewise values of a class-C tree up to degree ``hi``.
 
     The one gate of degreewise solving: a computable class, the trivial
-    group and a bounded-below table, checked in that order.
+    group and a bounded-below table, checked in that order.  No value lies
+    above such a table's top degree, so every top is capped there.
 
     Three passes over the distinct nodes, none recursive.  One fold lists
     them in post-order with their children and class flags, in a list that
-    goes with the call: an evaluation leaves on the tree only each square's
-    Smith forms.  Backwards, each node gets the largest top degree its
-    class-C parents read it to (a parent's top, plus one under a non-split
-    square).  Forwards, each node is solved once into a finitely supported
-    map of its nonzero degrees up to its top: class B from its rank and the
-    table's rows, class C from its children's maps.  Nothing under a node
-    that fails before reading its children is read, so on a tree the first
-    failure is the one a depth-first evaluation meets.  The root's map
-    becomes its window, with the kept class's oracle paths children first;
-    no degree is densified.  ``witnesses`` collects a root square's
-    witnesses.
+    goes with the call; a node solved to the table's top degree is a leaf.
+    Backwards, each node gets the largest top degree its class-C parents
+    read it to (a parent's top, plus one under a non-split square).
+    Forwards, each node is solved once into a finitely supported map of its
+    nonzero degrees up to its top: class B from its rank and the table's
+    rows, class C from its children's maps.  A class-C map is kept on the
+    node with its top for the last table, ``_solved``: a later evaluation
+    over that table reads it, or solves the degrees above that top only (a
+    fresh solve has no lower bound), and a solve that raises keeps nothing.
+    Nothing under a node that fails before reading its children is read, so
+    on a tree the first failure is the one a depth-first evaluation meets.
+    The root's map up to ``hi`` becomes its window, with the kept class's
+    oracle paths children first; no degree is densified.  ``witnesses``
+    collects a root square's witnesses, from a solve of the root that
+    neither reads nor keeps its map.
     """
     _computable_tag(tree, group)
     if not group.is_trivial:
@@ -593,15 +600,22 @@ def _explicit_eval(
             f"table {table.name!r} is unbounded below; degreewise solving needs "
             "bounded-below coefficients"
         )
+    table_top = table.degree_groups[-1][0]
+
+    def solved(node: Tree) -> tuple:
+        """The node's kept (table, top, map) for this table, or nothing solved."""
+        kept = node.__dict__.get("_solved") if witnesses is None or node is not tree else None
+        return kept if kept is not None and kept[0] is table else (table, -inf, {})
+
     nodes = []
 
     def listed(node: Tree, kids: list[Tree]) -> Tree:
         nodes.append((node, kids, class_tag(node) == "B"))
         return node
 
-    fold(tree, listed)
+    fold(tree, listed, lambda node: solved(node)[1] == table_top)
     # the top degree each node is read to: the largest its parents ask for
-    tops = {id(tree): hi}
+    tops = {id(tree): min(hi, table_top)}
     for node, kids, class_b in reversed(nodes):
         if id(node) not in tops or not class_b and _refusal(node) is not None:
             continue
@@ -609,6 +623,7 @@ def _explicit_eval(
             top = table.min_degree - 1  # class-B parents read ranks only
         else:
             top = tops[id(node)] + (1 if isinstance(node, Blowup) and node.split is None else 0)
+            top = min(top, table_top)
         for kid in kids:
             tops[id(kid)] = max(top, tops.get(id(kid), top))
 
@@ -620,18 +635,25 @@ def _explicit_eval(
         top = tops[id(node)]
         if class_b:
             rank = ranks[id(node)] = _rank_of(tree, node, [ranks[id(k)] for k in kids])
-            value = {d: tensor_with_free(g, rank) for d, g in table.degree_groups if d <= top}
-        else:
-            refusal = _refusal(node)
-            if refusal is not None:
-                raise UnderdeterminedError(refusal)
+            # table rows are nonzero, so a row's tensor is zero at rank 0 only
+            rows = table.degree_groups if rank else ()
+            values[id(node)] = {d: tensor_with_free(g, rank) for d, g in rows if d <= top}
+            continue
+        refusal = _refusal(node)
+        if refusal is not None:
+            raise UnderdeterminedError(refusal)
+        _, solved_to, value = solved(node)
+        if solved_to < top:
             sink = witnesses if node is tree else None
-            value = _class_c_values(node, [values[id(k)] for k in kids], top, sink)
-        # the one place a node's map keeps its nonzero degrees only
-        values[id(node)] = {d: g for d, g in value.items() if not g.is_zero}
-    root = values[id(tree)]
+            above = _class_c_values(node, [values[id(k)] for k in kids], top, sink, solved_to)
+            # the one place a class-C map keeps its nonzero degrees only
+            value = {**value, **{d: g for d, g in above.items() if not g.is_zero}}
+            if sink is None:
+                node.__dict__["_solved"] = (table, top, value)
+        values[id(node)] = value
+    root = tuple(sorted((d, g) for d, g in values[id(tree)].items() if d <= hi))
     oracles = classify(tree).oracles_children_first
-    return DegreeWindow(tuple(sorted(root.items())), min(root, default=hi), hi, oracles)
+    return DegreeWindow(root, root[0][0] if root else hi, hi, oracles)
 
 
 def compute_graded(

@@ -20,6 +20,7 @@ from simploc.coeff import (
     summand_complement,
     tensor_with_free,
 )
+from simploc.script import parse
 
 from .oracles import (
     det_over_q,
@@ -405,3 +406,17 @@ def test_parse_table_file_row_value_errors_name_the_line():
         parse_table_file("neg", "0 1\n1 -2\n")
     with pytest.raises(ValueError, match=r"^word:1: invalid literal"):
         parse_table_file("word", "0 one\n")
+
+
+def test_snf_keeps_a_parsed_map_and_copies_other_rows():
+    square = parse(
+        "group trivial\n"
+        "let x = blowup(unknown=X, split=none, Y=point, Z=point, E=point, maps=[0: ((2, 4))])\n"
+    ).trees["x"]
+    matrix = square.map_at(0)
+    assert snf(matrix).matrix is matrix
+    # a list, or an entry that is not exactly int, is copied through int()
+    rows = [[2, 4]]
+    assert snf(rows).matrix == ((2, 4),) and type(snf(rows).matrix) is tuple
+    flagged = snf(((True, 4),)).matrix
+    assert flagged == ((1, 4),) and type(flagged[0][0]) is int
