@@ -51,7 +51,7 @@ classified, computed and given a verdict in one script, so a result read
 twice from one tree is compared too.  Three class-C scripts follow: a
 40-level ``let`` chain of non-split squares, each name classified and the
 top computed over ``unit``, so the refutation of every root of a shared
-chain is compared; and a non-split square whose corners share two nested
+chain is compared; a non-split square whose corners share two nested
 descents with oracles, whose window lists its oracle paths children first,
 not in preorder; and a shared chain over a user table with rows in degrees
 -1, 0 and 1 (``rows.tbl``, written beside it): ``compute`` of a middle

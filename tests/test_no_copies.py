@@ -1,10 +1,11 @@
 """An evaluation keeps no per-evaluation copies.
 
-Class-C solving lists the distinct nodes afresh on each call and leaves
-nothing on the tree but each non-split square's Smith forms, so classifying
-every root of a shared chain holds memory linear in the chain, not one node
-list per root.  The kept class orders its oracle paths children first once,
-however many commands and runs read them.
+Class-C solving lists the distinct nodes afresh on each call and leaves on
+the tree only each non-split square's Smith forms and, on each class-C
+node, one solved window for the last table it was solved over, so
+classifying every root of a shared chain holds memory linear in the chain,
+not one node list per root.  The kept class orders its oracle paths
+children first once, however many commands and runs read them.
 """
 
 import contextlib

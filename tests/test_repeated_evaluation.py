@@ -2,10 +2,11 @@
 
 Each class-C node keeps the window it was last solved to, for the last
 table it was solved over, and a later evaluation reads it back, extends it
-or replaces it.  Here one random shared DAG takes a seeded sequence of
-engine calls over three tables and random windows, and each call's outcome
-(values and oracle paths, witnesses, or the error's type and message) must
-equal that of the same call on a freshly generated copy of the DAG.
+or replaces it.  Here each of 120 random shared DAGs takes a seeded
+sequence of engine calls over three tables and random windows, and each
+call's outcome (values and oracle paths, witnesses, or the error's type
+and message) must equal that of the same call on a freshly generated copy
+of the DAG.
 """
 
 import random
